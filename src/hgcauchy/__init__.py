@@ -2,11 +2,14 @@
 
 The package computes the numbers c(N, n) defined by the reciprocal of the
 Gauss hypergeometric series 2F1(1, N; N+1; -x), and their order-r
-generalization, by several independent routes: series reciprocal, the
-defining recurrence, Toeplitz-Hessenberg determinants, composition sums, and
-a multinomial expansion over partitions. Agreement between routes, together
-with inversion round trips and classical specializations (Bernoulli numbers
-of the second kind at N = 1), is what the verification suites check.
+generalization, by several routes: series reciprocal, the defining
+recurrence, Toeplitz-Hessenberg determinants, composition sums, and a
+multinomial expansion over partitions. The first three share one exact
+triangular Toeplitz solve; the composition and partition sums share no
+arithmetic with it and are the independent cross-checks. Agreement between
+routes, together with inversion round trips and classical specializations
+(Bernoulli numbers of the second kind at N = 1), is what the verification
+suites check.
 
 Everything is a stdlib Fraction; no floats anywhere.
 """

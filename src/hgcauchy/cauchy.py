@@ -8,8 +8,7 @@ so N = 1 recovers the classical Cauchy numbers (x/log(1+x) expansion). The
 normalized values b_n = c(N, n)/n! are often the more convenient object; every
 table here can hand them back via :meth:`CauchyTable.normalized`.
 
-Five routes to the same table are implemented, deliberately kept independent
-of each other so they can cross-check one another:
+Five routes to the same table are implemented:
 
 ``series``        reciprocal of the truncated F_N (the reference oracle)
 ``recurrence``    bottom-up solution of the defining convolution identity
@@ -17,12 +16,20 @@ of each other so they can cross-check one another:
 ``compositions``  exhaustive signed sum over strict integer compositions
 ``trudi``         partition-multiset expansion of the same determinant
 
+The first three set the problem up differently but share one exact kernel,
+the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`, so
+their agreement checks the set-up of each route, not the solve itself.
+``compositions`` and ``trudi`` share no arithmetic with that kernel; they,
+together with the slow reference loops the tests and the benchmark keep, are
+the independent cross-checks.
+
 The classical validators at the end pin the machinery to well-known sequences
 (Bernoulli and Euler numbers as Hessenberg determinants).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -37,7 +44,7 @@ from .hessenberg import (
     trudi_sum,
 )
 from .report import VerificationReport, failed, passed
-from .series import TruncatedSeries
+from .series import TruncatedSeries, toeplitz_solve
 
 __all__ = [
     "CauchyTable",
@@ -60,6 +67,15 @@ METHODS = frozenset(FIRST_ORDER_METHODS) | frozenset(HIGHER_ORDER_METHODS)
 
 
 def _check_parameters(N: int, n_max: int, r: int = 1) -> None:
+    for name, value in (("N", N), ("n_max", n_max), ("r", r)):
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, not bool")
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(
+                f"{name} must be an integer, got {type(value).__name__} {value!r}"
+            ) from None
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     if r < 1:
@@ -122,28 +138,29 @@ def c_via_recurrence(N: int, n_max: int) -> CauchyTable:
 
         sum_{i=0..n} (-1)^i c(N, i) / ((N + n - i) i!) = 0   for n >= 1,
 
-    solved for the i = n term:
+    solved for the i = n term. In the normalized values b_n = c(N, n)/n! it
+    reads
 
-        c(N, n) = sum_{i=0..n-1} (-1)^(n-i-1) (n!/i!) N/(N+n-i) c(N, i).
+        sum_{l=0..n} (-1)^l N/(N+l) b_(n-l) = 0   for n >= 1,   b_0 = 1,
+
+    a triangular Toeplitz system solved by the shared kernel
+    :func:`~hgcauchy.series.toeplitz_solve`; the table is n! b_n. The
+    ``series`` and ``determinant`` routes reach the same solve, so agreement
+    among these three checks their set-up, not the kernel.
     """
     _check_parameters(N, n_max)
-    c = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        n_fact = factorial(n)
-        for i in range(n):
-            acc += (
-                (-1) ** (n - i - 1)
-                * Fraction(n_fact, factorial(i))
-                * Fraction(N, N + n - i)
-                * c[i]
-            )
-        c.append(acc)
-    return CauchyTable(N, 1, n_max, tuple(c), "recurrence")
+    b = toeplitz_solve([Fraction((-1) ** l * N, N + l) for l in range(n_max + 1)])
+    c = tuple(factorial(n) * b[n] for n in range(n_max + 1))
+    return CauchyTable(N, 1, n_max, c, "recurrence")
 
 
 def c_via_determinant(N: int, n_max: int) -> CauchyTable:
-    """n! times the n x n unit-superdiagonal determinant over bands N/(N+k)."""
+    """n! times the n x n unit-superdiagonal determinant over bands N/(N+k).
+
+    The determinants come from the band recurrence in
+    :func:`~hgcauchy.hessenberg.determinant_sequence`, which is the same
+    triangular Toeplitz solve the ``series`` and ``recurrence`` routes use.
+    """
     _check_parameters(N, n_max)
     band = [Fraction(N, N + k) for k in range(1, n_max + 1)]
     dets = determinant_sequence(1, band)

@@ -21,6 +21,7 @@ from .combinat import STRICT_COMPOSITION_CAP
 from .errors import CapExceeded
 from .hessenberg import PARTITION_CAP, determinant_sequence, unit_lower_toeplitz_inverse
 from .rational import format_rational
+from .relations import CHAIN_CAP
 from .report import VerificationReport
 from .verify import SUITE_NAMES, run_suites
 
@@ -107,7 +108,7 @@ def _add_caps_flag(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable the enumeration safety caps "
         f"(compositions n <= {STRICT_COMPOSITION_CAP}, "
-        f"partitions m <= {PARTITION_CAP}, chains n <= 14)",
+        f"partitions m <= {PARTITION_CAP}, chains n <= {CHAIN_CAP})",
     )
 
 

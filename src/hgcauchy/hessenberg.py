@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 from .combinat import multinomial
 from .errors import CapExceeded
 from .report import VerificationReport, failed, passed
+from .series import toeplitz_solve
 
 __all__ = [
     "PARTITION_CAP",
@@ -76,18 +77,19 @@ class HessenbergSpec:
 def determinant_sequence(
     super_entry: Fraction, band: Sequence[Fraction]
 ) -> list[Fraction]:
-    """[d_0, d_1, .., d_n]: determinants of all leading specs over ``band``."""
-    a0 = Fraction(super_entry)
-    a = [Fraction(b) for b in band]
-    d = [Fraction(1)]
-    for k in range(1, len(a) + 1):
-        acc = Fraction(0)
-        sign_pow = Fraction(1)
-        for l in range(1, k + 1):
-            acc += sign_pow * a[l - 1] * d[k - l]
-            sign_pow *= -a0
-        d.append(acc)
-    return d
+    """[d_0, d_1, .., d_n]: determinants of all leading specs over ``band``.
+
+    By the band recurrence, D(x) = sum d_k x^k satisfies
+    D(x) (1 - sum_l (-a_0)^(l-1) a_l x^l) = 1, so d is one triangular
+    Toeplitz solve.
+    """
+    neg_super = -Fraction(super_entry)
+    sign_pow = Fraction(1)
+    coefficients = [sign_pow]
+    for b in band:
+        coefficients.append(-sign_pow * Fraction(b))
+        sign_pow *= neg_super
+    return toeplitz_solve(coefficients)
 
 
 def hessenberg_det(spec: HessenbergSpec) -> Fraction:
@@ -174,13 +176,7 @@ def unit_lower_toeplitz_inverse(
     a = [Fraction(v) for v in alpha]
     if n is not None and n != len(a):
         raise ValueError(f"alpha has {len(a)} bands, n = {n} given")
-    gamma = [Fraction(1)]
-    for k in range(1, len(a) + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            acc += a[j - 1] * gamma[k - j]
-        gamma.append(-acc)
-    return gamma[1:]
+    return toeplitz_solve([Fraction(1)] + a)[1:]
 
 
 def determinant_inversion_roundtrip(

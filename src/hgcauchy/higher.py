@@ -9,9 +9,13 @@ is the weight
 
 the e-th coefficient of (sum_j N/(N+j) x^j)^r, so F_N(x)^r has coefficients
 (-1)^e D_r(e). The five table routes below mirror the first-order ones, with
-D_r(k) replacing N/(N+k) wherever bands or composition weights appear; the
-``convolution`` route instead multiplies first-order tables together and never
-touches the weights, which keeps it an independent cross-check.
+D_r(k) replacing N/(N+k) wherever bands or composition weights appear. The
+``recurrence`` and ``determinant`` routes share one triangular Toeplitz solve
+(:func:`~hgcauchy.series.toeplitz_solve`). ``explicit`` and ``trudi``
+enumerate and share no arithmetic with that kernel; they are the independent
+cross-checks. The ``convolution`` route raises the first-order table to the
+r-th power and never touches the weights, so it checks (1/F_N)^r against the
+solve of F_N^r the other way round.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .hessenberg import (
     unit_lower_toeplitz_inverse,
 )
 from .report import VerificationReport, failed, passed
-from .series import TruncatedSeries
+from .series import TruncatedSeries, toeplitz_solve
 
 __all__ = [
     "WeightTable",
@@ -183,24 +187,23 @@ def chor_via_recurrence(N: int, r: int, n_max: int) -> CauchyTable:
 
         b_n = sum_{l=1..n} (-1)^(l-1) D_r(l) b_(n-l),    b_0 = 1,
 
-    with c^(r)(N, n) = n! b_n. At r = 1 this is the first-order recurrence in
-    its normalized form.
+    with c^(r)(N, n) = n! b_n, solved by the shared kernel
+    :func:`~hgcauchy.series.toeplitz_solve`. At r = 1 this is the
+    first-order recurrence in its normalized form. The ``determinant`` route
+    reaches the same solve through the band recurrence.
     """
     _check_parameters(N, n_max, r)
     d = _weights(N, r, n_max)
-    b = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for l in range(1, n + 1):
-            acc += (-1) ** (l - 1) * d[l] * b[n - l]
-        b.append(acc)
+    b = toeplitz_solve([(-1) ** l * d[l] for l in range(n_max + 1)])
     values = tuple(factorial(n) * b[n] for n in range(n_max + 1))
     return CauchyTable(N, r, n_max, values, "recurrence")
 
 
 def chor_via_determinant(N: int, r: int, n_max: int) -> CauchyTable:
     """n! times the unit-superdiagonal Hessenberg determinant over weight
-    bands D_r(1) .. D_r(n)."""
+    bands D_r(1) .. D_r(n), by the band recurrence of
+    :func:`~hgcauchy.hessenberg.determinant_sequence`, the same triangular
+    Toeplitz solve as the ``recurrence`` route."""
     _check_parameters(N, n_max, r)
     d = _weights(N, r, n_max)
     dets = determinant_sequence(1, d[1:])

@@ -4,6 +4,14 @@ Coefficients are ``fractions.Fraction`` throughout; every operation is exact.
 A series always carries its truncation order, and a binary operation truncates
 its result to the smaller order of the two operands.
 
+Products and reciprocals go through two kernels, :func:`_convolve` and
+:func:`toeplitz_solve`. Both scale their inputs once to integers over a
+common denominator, sum every dot product in plain integers, and reduce once
+per output coefficient (delayed normalization), instead of paying a gcd for
+each term the way a running ``Fraction`` sum does. Every triangular Toeplitz
+solve in the package (series reciprocal, determinant recurrence, band
+inversion, the recurrence routes) is a call to :func:`toeplitz_solve`.
+
 The divided-power derivative implemented here sends x^m to C(m, n) x^(m-n)
 (no factorial in front), which is the convenient normalization when formulas
 are phrased in terms of plain coefficient extraction: taking the derivative of
@@ -14,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import OrderExceeded, ZeroConstantTerm
@@ -91,15 +100,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            order = min(self.order, other.order)
-            a, b = self.coefficients, other.coefficients
-            out = []
-            for k in range(order + 1):
-                acc = Fraction(0)
-                for j in range(k + 1):
-                    acc += a[j] * b[k - j]
-                out.append(acc)
-            return TruncatedSeries(tuple(out))
+            return TruncatedSeries(_convolve(self.coefficients, other.coefficients))
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries(tuple(c * other for c in self.coefficients))
         return NotImplemented
@@ -111,24 +112,18 @@ class TruncatedSeries:
 
         Raises :class:`ZeroConstantTerm` when the constant coefficient is 0.
         """
-        a = self.coefficients
-        if a[0] == 0:
+        if self.coefficients[0] == 0:
             raise ZeroConstantTerm("series has no reciprocal: constant term is 0")
-        inv0 = 1 / Fraction(a[0])
-        out = [inv0]
-        for k in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += a[j] * out[k - j]
-            out.append(-inv0 * acc)
-        return TruncatedSeries(tuple(out))
+        return TruncatedSeries(tuple(toeplitz_solve(self.coefficients)))
 
     def power(self, exponent: int) -> "TruncatedSeries":
         """Repeated product; ``exponent`` must be a non-negative integer."""
         if exponent < 0:
             raise ValueError("negative powers go through reciprocal() explicitly")
-        result = TruncatedSeries.one(self.order)
-        for _ in range(exponent):
+        if exponent == 0:
+            return TruncatedSeries.one(self.order)
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
@@ -150,6 +145,61 @@ class TruncatedSeries:
                 for m in range(n, self.order + 1)
             )
         )
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers V and D with values[j] == V[j] / D, D the lcm of denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Coefficients 0 .. min(len(a), len(b)) - 1 of the product of the series
+    with coefficients ``a`` and ``b``.
+
+    Each coefficient is an integer dot product over the denominator Da*Db,
+    reduced once.
+    """
+    size = min(len(a), len(b))
+    A, da = _scaled(a[:size])
+    B, db = _scaled(b[:size])
+    den = da * db
+    return [Fraction(sum(map(mul, A[: k + 1], B[k::-1])), den) for k in range(size)]
+
+
+def toeplitz_solve(a: Sequence[Fraction]) -> list[Fraction]:
+    """Solve the unit-step triangular Toeplitz system of the series ``a``:
+    the list ``out`` with (sum a_j x^j)(sum out_k x^k) = 1 modulo x^len(a).
+
+    ``a[0]`` must be nonzero. The inputs are scaled once to integers A over
+    Da = lcm(denominators), so out_k = -(sum_{j=1..k} A_j out_(k-j)) / A_0.
+    Output k is kept as an integer numerator Y[k] over L_k, the running lcm
+    of the output denominators, with the growth factor m[k] = L_k / L_(k-1).
+    A dot product over L_(k-1) then needs no division: in Horner form,
+    acc = acc * m[i] + A[k-i] * Y[i] for i = 0 .. k-1. One Fraction, and so
+    one gcd of large integers, is built per coefficient.
+    """
+    if not a:
+        return []
+    A, da = _scaled(a)
+    a0 = A[0]
+    first = Fraction(da, a0)
+    out = [first]
+    Y = [first.numerator]
+    m = [1]
+    L = first.denominator
+    for k in range(1, len(A)):
+        acc = 0
+        for grow, y, coeff in zip(m, Y, A[k:0:-1]):
+            acc = acc * grow + coeff * y
+        value = Fraction(-acc, a0 * L)
+        out.append(value)
+        g = gcd(L, value.denominator)
+        Y.append(value.numerator * (L // g))
+        grow = value.denominator // g
+        m.append(grow)
+        L *= grow
+    return out
 
 
 def ht_derivative(series: TruncatedSeries, n: int) -> TruncatedSeries:

@@ -1,8 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive: dense cofactor determinants, direct
-enumeration sums, and generators for random exact-rational inputs. Slow on
-purpose, trusted because there is nothing to get wrong.
+enumeration sums, term-by-term Fraction loops for series products and
+triangular Toeplitz solves, and generators for random exact-rational inputs.
+Slow on purpose, trusted because there is nothing to get wrong.
 """
 
 from __future__ import annotations
@@ -27,6 +28,59 @@ def dense_determinant(matrix: list[list[Fraction]]) -> Fraction:
         sign = -1 if col % 2 else 1
         total += sign * entry * dense_determinant(minor)
     return total
+
+
+def naive_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Coefficients 0 .. min(len(a), len(b)) - 1 of the product of two series,
+    one Fraction add per term."""
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = Fraction(0)
+        for j in range(k + 1):
+            acc += a[j] * b[k - j]
+        out.append(acc)
+    return out
+
+
+def naive_reciprocal(a: list[Fraction]) -> list[Fraction]:
+    """Reciprocal series coefficients by the textbook recurrence
+    out_k = -(1/a_0) sum_{j=1..k} a_j out_(k-j)."""
+    inv0 = 1 / Fraction(a[0])
+    out = [inv0]
+    for k in range(1, len(a)):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            acc += a[j] * out[k - j]
+        out.append(-inv0 * acc)
+    return out
+
+
+def naive_determinant_sequence(
+    super_entry: Fraction, band: list[Fraction]
+) -> list[Fraction]:
+    """d_k = sum_{l=1..k} (-a_0)^(l-1) a_l d_(k-l), d_0 = 1, term by term."""
+    a0 = Fraction(super_entry)
+    d = [Fraction(1)]
+    for k in range(1, len(band) + 1):
+        acc = Fraction(0)
+        sign_pow = Fraction(1)
+        for l in range(1, k + 1):
+            acc += sign_pow * band[l - 1] * d[k - l]
+            sign_pow *= -a0
+        d.append(acc)
+    return d
+
+
+def naive_toeplitz_inverse(alpha: list[Fraction]) -> list[Fraction]:
+    """gamma_1 .. gamma_n with gamma_0 = 1 and
+    gamma_k = -sum_{j=1..k} alpha_j gamma_(k-j), term by term."""
+    gamma = [Fraction(1)]
+    for k in range(1, len(alpha) + 1):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            acc += alpha[j - 1] * gamma[k - j]
+        gamma.append(-acc)
+    return gamma[1:]
 
 
 def partition_count(m: int) -> int:

@@ -86,6 +86,20 @@ class TestTableValidation:
         with pytest.raises(ValueError):
             c_via_series(1, -1)
 
+    def test_rejects_bool_parameters(self):
+        with pytest.raises(TypeError, match="N must be an integer, not bool"):
+            c_via_series(True, 3)
+        with pytest.raises(TypeError, match="n_max must be an integer, not bool"):
+            c_via_recurrence(2, False)
+        with pytest.raises(TypeError, match="not bool"):
+            CauchyTable(N=True, r=1, n_max=0, values=(F(1),), method="series")
+
+    def test_rejects_non_integer_parameters(self):
+        with pytest.raises(TypeError, match="N must be an integer, got float 2.5"):
+            c_via_series(2.5, 3)
+        with pytest.raises(TypeError, match="n_max must be an integer"):
+            c_via_determinant(2, F(3))
+
 
 class TestGeneratingSeries:
     def test_coefficients_are_alternating_ratios(self):

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from hgcauchy.cli import main
+from hgcauchy.combinat import STRICT_COMPOSITION_CAP
+from hgcauchy.hessenberg import PARTITION_CAP
+from hgcauchy.relations import CHAIN_CAP
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +99,15 @@ class TestCompute:
         _, first, _ = run_cli(capsys, "compute", "--N", "4", "--n-max", "10")
         _, second, _ = run_cli(capsys, "compute", "--N", "4", "--n-max", "10")
         assert first == second
+
+    def test_help_names_every_cap(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "compute", "--help")
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"compositions n <= {STRICT_COMPOSITION_CAP}" in text
+        assert f"partitions m <= {PARTITION_CAP}" in text
+        assert f"chains n <= {CHAIN_CAP}" in text
 
 
 class TestVerify:

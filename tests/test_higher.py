@@ -63,6 +63,15 @@ class TestWeights:
         with pytest.raises(ValueError):
             WeightTable(N=1, r=1, e_max=1, values=(F(1), F(1, 3)))
 
+    def test_rejects_bool_and_non_integer_parameters(self):
+        with pytest.raises(TypeError, match="r must be an integer, not bool"):
+            weight_D(2, True, 3)
+        with pytest.raises(TypeError, match="not bool"):
+            WeightTable(N=1, r=1, e_max=True, values=(F(1), F(1, 2)))
+        for method in HIGHER_METHODS:
+            with pytest.raises(TypeError, match="r must be an integer, got float"):
+                method(2, 2.0, 3)
+
 
 class TestWeightDisplays:
     def test_low_weights_match(self):

@@ -1,0 +1,153 @@
+"""Differential tests: the integer-numerator kernels behind series products,
+reciprocals, Hessenberg determinants and band inversion must equal the naive
+term-by-term Fraction loops in ``oracles`` exactly."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from hgcauchy.errors import ZeroConstantTerm
+from hgcauchy.hessenberg import determinant_sequence, unit_lower_toeplitz_inverse
+from hgcauchy.series import TruncatedSeries, toeplitz_solve
+from oracles import (
+    naive_determinant_sequence,
+    naive_product,
+    naive_reciprocal,
+    naive_toeplitz_inverse,
+    random_coefficients,
+    random_fraction,
+)
+
+SEED = 20180215
+ORDER = 80
+SUPER_ENTRIES = (F(0), F(1), F(-3, 2), F(7))
+
+
+def gauss_series(N, order=ORDER):
+    """Coefficients (-1)^j N/(N+j) of F_N, the series the package inverts."""
+    return [F((-1) ** j * N, N + j) for j in range(order + 1)]
+
+
+def ratio_band(N, order=ORDER):
+    return [F(N, N + k) for k in range(1, order + 1)]
+
+
+def naive_power(a, exponent):
+    result = [F(1)] + [F(0)] * (len(a) - 1)
+    for _ in range(exponent):
+        result = naive_product(result, a)
+    return result
+
+
+def random_series(rng, order):
+    return list(random_coefficients(rng, order, nonzero_constant=True))
+
+
+@pytest.mark.parametrize("N", (1, 17, 64))
+class TestRatioBands:
+    def test_reciprocal(self, N):
+        a = gauss_series(N)
+        assert list(TruncatedSeries(tuple(a)).reciprocal().coefficients) == (
+            naive_reciprocal(a)
+        )
+
+    def test_product(self, N):
+        a = gauss_series(N)
+        b = naive_reciprocal(gauss_series(N + 1))
+        product = TruncatedSeries(tuple(a)) * TruncatedSeries(tuple(b))
+        assert list(product.coefficients) == naive_product(a, b)
+
+    def test_power(self, N):
+        a = [abs(c) for c in gauss_series(N)]
+        s = TruncatedSeries(tuple(a))
+        for exponent in range(5):
+            assert list(s.power(exponent).coefficients) == naive_power(a, exponent)
+
+    def test_determinant_sequence(self, N):
+        band = ratio_band(N)
+        for super_entry in SUPER_ENTRIES:
+            assert determinant_sequence(super_entry, band) == (
+                naive_determinant_sequence(super_entry, band)
+            ), super_entry
+
+    def test_unit_lower_toeplitz_inverse(self, N):
+        band = ratio_band(N)
+        assert unit_lower_toeplitz_inverse(band) == naive_toeplitz_inverse(band)
+
+
+class TestRandomFractions:
+    def test_reciprocal_and_product(self):
+        rng = random.Random(SEED)
+        for _ in range(20):
+            order = rng.randint(0, 30)
+            a = random_series(rng, order)
+            b = random_series(rng, rng.randint(0, 30))
+            s, t = TruncatedSeries(tuple(a)), TruncatedSeries(tuple(b))
+            assert list(s.reciprocal().coefficients) == naive_reciprocal(a)
+            assert list((s * t).coefficients) == naive_product(a, b)
+
+    def test_power(self):
+        rng = random.Random(SEED + 1)
+        for _ in range(5):
+            a = list(random_coefficients(rng, rng.randint(0, 20)))
+            s = TruncatedSeries(tuple(a))
+            for exponent in range(5):
+                assert list(s.power(exponent).coefficients) == naive_power(a, exponent)
+
+    def test_determinant_sequence_and_inverse(self):
+        rng = random.Random(SEED + 2)
+        for _ in range(20):
+            band = [random_fraction(rng) for _ in range(rng.randint(0, 30))]
+            for super_entry in SUPER_ENTRIES + (random_fraction(rng),):
+                assert determinant_sequence(super_entry, band) == (
+                    naive_determinant_sequence(super_entry, band)
+                )
+            assert unit_lower_toeplitz_inverse(band) == naive_toeplitz_inverse(band)
+
+
+class TestEdgeCases:
+    def test_empty_band(self):
+        assert toeplitz_solve([]) == []
+        for super_entry in SUPER_ENTRIES:
+            assert determinant_sequence(super_entry, []) == [F(1)]
+        assert unit_lower_toeplitz_inverse([]) == []
+
+    def test_single_coefficient(self):
+        for c in (F(1), F(3), F(-2, 5)):
+            s = TruncatedSeries((c,))
+            assert s.reciprocal().coefficients == (1 / c,)
+            assert (s * s).coefficients == (c * c,)
+            assert s.power(3).coefficients == (c**3,)
+        assert determinant_sequence(F(7), [F(-3, 4)]) == [F(1), F(-3, 4)]
+        assert unit_lower_toeplitz_inverse([F(2, 3)]) == [F(-2, 3)]
+
+    def test_zero_interior_coefficients(self):
+        cases = (
+            [F(1), F(0), F(0), F(0), F(0), F(0)],
+            [F(2), F(0), F(0), F(5, 3), F(0), F(0), F(-1, 7), F(0)],
+            [F(-1, 3), F(0), F(4), F(0), F(0), F(0), F(0), F(0), F(9, 2)],
+        )
+        for a in cases:
+            s = TruncatedSeries(tuple(a))
+            assert list(s.reciprocal().coefficients) == naive_reciprocal(a)
+            assert list((s * s).coefficients) == naive_product(a, a)
+            band = a[1:]
+            for super_entry in SUPER_ENTRIES:
+                assert determinant_sequence(super_entry, band) == (
+                    naive_determinant_sequence(super_entry, band)
+                )
+            assert unit_lower_toeplitz_inverse(band) == naive_toeplitz_inverse(band)
+
+    def test_non_unit_and_negative_constant_term(self):
+        for head in (F(3), F(-1), F(-7, 4), F(5, 9)):
+            a = [head] + [F(1, k + 1) for k in range(1, 25)]
+            recip = TruncatedSeries(tuple(a)).reciprocal()
+            assert list(recip.coefficients) == naive_reciprocal(a)
+            assert recip.coefficients[0] == 1 / head
+
+    def test_zero_constant_term_rejected(self):
+        with pytest.raises(ZeroConstantTerm):
+            TruncatedSeries((F(0), F(1))).reciprocal()
+        with pytest.raises(ZeroDivisionError):
+            toeplitz_solve([F(0), F(1)])
