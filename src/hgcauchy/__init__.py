@@ -16,8 +16,6 @@ Everything is a stdlib Fraction; no floats anywhere.
 
 from .cauchy import (
     CauchyTable,
-    FIRST_ORDER_METHODS,
-    HIGHER_ORDER_METHODS,
     c_closed_form,
     c_via_compositions,
     c_via_determinant,
@@ -31,6 +29,7 @@ from .cauchy import (
 )
 from .combinat import (
     STRICT_COMPOSITION_CAP,
+    composition_sum,
     multinomial,
     strict_compositions,
     weak_compositions,
@@ -89,8 +88,6 @@ __all__ = [
     "CHAIN_CAP",
     "DEFAULT_SEED",
     "D_inversion",
-    "FIRST_ORDER_METHODS",
-    "HIGHER_ORDER_METHODS",
     "HessenbergSpec",
     "OrderExceeded",
     "PARTITION_CAP",
@@ -120,6 +117,7 @@ __all__ = [
     "chor_via_trudi",
     "classical_bernoulli_det",
     "classical_euler_det",
+    "composition_sum",
     "cross_order_step",
     "descending_chains",
     "determinant_sequence",

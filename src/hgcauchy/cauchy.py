@@ -21,7 +21,9 @@ the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`, so
 their agreement checks the set-up of each route, not the solve itself.
 ``compositions`` and ``trudi`` share no arithmetic with that kernel; they,
 together with the slow reference loops the tests and the benchmark keep, are
-the independent cross-checks.
+the independent cross-checks. ``compositions`` and the order-r ``explicit``
+route are one walk, :func:`~hgcauchy.combinat.composition_sum`, over
+different weights; at r = 1 they are one route.
 
 The classical validators at the end pin the machinery to well-known sequences
 (Bernoulli and Euler numbers as Hessenberg determinants).
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .combinat import STRICT_COMPOSITION_CAP, multinomial
+from .combinat import STRICT_COMPOSITION_CAP, composition_sum, multinomial
 from .errors import CapExceeded
 from .hessenberg import (
     PARTITION_CAP,
@@ -61,9 +63,16 @@ __all__ = [
     "c_trudi_printed_variant",
 ]
 
-FIRST_ORDER_METHODS = ("series", "recurrence", "determinant", "compositions", "trudi")
-HIGHER_ORDER_METHODS = ("recurrence", "determinant", "explicit", "trudi", "convolution")
-METHODS = frozenset(FIRST_ORDER_METHODS) | frozenset(HIGHER_ORDER_METHODS)
+# every route name a table may carry, in the order the CLI lists them
+METHODS = (
+    "series",
+    "recurrence",
+    "determinant",
+    "compositions",
+    "trudi",
+    "explicit",
+    "convolution",
+)
 
 
 def _check_parameters(N: int, n_max: int, r: int = 1) -> None:
@@ -174,40 +183,29 @@ def c_via_compositions(
     """Exhaustive signed sum over strict compositions:
 
         c(N, n) = (-1)^n n! sum over compositions (i_1, .., i_k) of n
-                  of (-N)^k / prod (N + i_j).
+                  of (-N)^k / prod (N + i_j),
 
-    Every composition is visited once (2^(n-1) per n), with one shared
-    depth-first walk over all totals <= n_max; numerators and denominators
-    accumulate as plain integers grouped by denominator, and Fractions are
-    only formed at the very end.
+    that is n! times the composition sum of the weights (-1)^(e-1) N/(N+e).
+    Every composition is visited once (2^(n-1) per n) by the one shared walk
+    :func:`~hgcauchy.combinat.composition_sum`.
     """
     _check_parameters(N, n_max)
     if cap is not None and n_max > cap:
         raise CapExceeded("strict composition enumeration", n_max, cap)
+    w = [0] + [Fraction((-1) ** (e - 1) * N, N + e) for e in range(1, n_max + 1)]
+    T = composition_sum(w, n_max)
+    values = tuple(factorial(n) * T[n] for n in range(n_max + 1))
+    return CauchyTable(N, 1, n_max, values, "compositions")
 
-    # sums[m] maps a denominator prod(N + i_j) to the summed (-N)^k numerators
-    sums: list[dict[int, int]] = [dict() for _ in range(n_max + 1)]
-    neg_n = -N
 
-    def extend(total: int, num: int, den: int) -> None:
-        limit = n_max - total
-        for part in range(1, limit + 1):
-            t2 = total + part
-            num2 = num * neg_n
-            den2 = den * (N + part)
-            acc = sums[t2]
-            acc[den2] = acc.get(den2, 0) + num2
-            extend(t2, num2, den2)
-
-    extend(0, 1, 1)
-
+def _trudi_values(band: list[Fraction], cap: int | None) -> tuple[Fraction, ...]:
+    """n! times the Trudi expansion of the determinant over band[:n], for
+    n = 0 .. len(band); shared by the first-order and order-r routes."""
     values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        total = Fraction(0)
-        for den, num in sums[n].items():
-            total += Fraction(num, den)
-        values.append((-1) ** n * factorial(n) * total)
-    return CauchyTable(N, 1, n_max, tuple(values), "compositions")
+    for n in range(1, len(band) + 1):
+        spec = HessenbergSpec(Fraction(1), tuple(band[:n]))
+        values.append(factorial(n) * trudi_sum(spec, cap))
+    return tuple(values)
 
 
 def c_via_trudi(
@@ -219,12 +217,10 @@ def c_via_trudi(
                   multinomial(t) (-1)^(n - sum t) prod (N/(N+k))^(t_k).
     """
     _check_parameters(N, n_max)
+    if cap is not None and n_max > cap:
+        raise CapExceeded("partition multiset enumeration", n_max, cap)
     band = [Fraction(N, N + k) for k in range(1, n_max + 1)]
-    values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        spec = HessenbergSpec(Fraction(1), tuple(band[:n]))
-        values.append(factorial(n) * trudi_sum(spec, cap))
-    return CauchyTable(N, 1, n_max, tuple(values), "trudi")
+    return CauchyTable(N, 1, n_max, _trudi_values(band, cap), "trudi")
 
 
 def c_trudi_printed_variant(

@@ -27,7 +27,19 @@ from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "build_parser"]
 
-# methods that enumerate strict compositions directly; meaningful at r = 1 only
+# method -> (N, r, n_max, comp_cap, part_cap) -> CauchyTable; at r = 1 the
+# order-r routes return the first-order table. Routes are looked up at call
+# time, so a function rebound on its module is the one that runs.
+_ROUTES = {
+    "series": lambda N, r, n, cc, pc: cauchy.c_via_series(N, n),
+    "recurrence": lambda N, r, n, cc, pc: higher.chor_via_recurrence(N, r, n),
+    "determinant": lambda N, r, n, cc, pc: higher.chor_via_determinant(N, r, n),
+    "compositions": lambda N, r, n, cc, pc: cauchy.c_via_compositions(N, n, cap=cc),
+    "trudi": lambda N, r, n, cc, pc: higher.chor_via_trudi(N, r, n, cap=pc),
+    "explicit": lambda N, r, n, cc, pc: higher.chor_via_explicit(N, r, n, cap=cc),
+    "convolution": lambda N, r, n, cc, pc: higher.chor_via_convolution(N, r, n),
+}
+# routes over the first-order bands only
 _FIRST_ORDER_ONLY = ("series", "compositions")
 
 
@@ -49,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--r", type=int, default=1, help="order r >= 1 (default 1)")
     p_compute.add_argument(
         "--method",
-        choices=cauchy.FIRST_ORDER_METHODS + ("explicit", "convolution"),
+        choices=cauchy.METHODS,
         default="recurrence",
         help="computation route (default recurrence)",
     )
@@ -138,28 +150,7 @@ def cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     part_cap = None if args.unsafe_caps else PARTITION_CAP
 
     N, r, n_max = args.N, args.r, args.n_max
-    if r == 1 and args.method in cauchy.FIRST_ORDER_METHODS:
-        if args.method == "series":
-            table = cauchy.c_via_series(N, n_max)
-        elif args.method == "recurrence":
-            table = cauchy.c_via_recurrence(N, n_max)
-        elif args.method == "determinant":
-            table = cauchy.c_via_determinant(N, n_max)
-        elif args.method == "compositions":
-            table = cauchy.c_via_compositions(N, n_max, cap=comp_cap)
-        else:
-            table = cauchy.c_via_trudi(N, n_max, cap=part_cap)
-    else:
-        if args.method == "recurrence":
-            table = higher.chor_via_recurrence(N, r, n_max)
-        elif args.method == "determinant":
-            table = higher.chor_via_determinant(N, r, n_max)
-        elif args.method == "trudi":
-            table = higher.chor_via_trudi(N, r, n_max, cap=part_cap)
-        elif args.method == "explicit":
-            table = higher.chor_via_explicit(N, r, n_max, cap=comp_cap)
-        else:
-            table = higher.chor_via_convolution(N, r, n_max)
+    table = _ROUTES[args.method](N, r, n_max, comp_cap, part_cap)
 
     values = table.normalized() if args.normalized else list(table.values)
     if args.format == "csv":

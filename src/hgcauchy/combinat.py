@@ -1,12 +1,20 @@
-"""Ordered-sum enumeration shared by the explicit expansion formulas."""
+"""Ordered-sum enumeration shared by the explicit expansion formulas.
+
+:func:`composition_sum` is the package's one walk over strict compositions:
+the compositions and explicit routes and the strict quotient-rule sweep call
+it with their own weights. :func:`strict_compositions` yields the same
+compositions one tuple at a time, for naive reference sums.
+"""
 
 from __future__ import annotations
 
-from math import factorial
+from fractions import Fraction
+from math import factorial, lcm
 from typing import Iterator, Sequence
 
 __all__ = [
     "STRICT_COMPOSITION_CAP",
+    "composition_sum",
     "strict_compositions",
     "weak_compositions",
     "multinomial",
@@ -28,6 +36,38 @@ def strict_compositions(total: int) -> Iterator[tuple[int, ...]]:
     for first in range(1, total + 1):
         for rest in strict_compositions(total - first):
             yield (first,) + rest
+
+
+def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
+    """For t = 0 .. t_max, the sum over strict compositions (e_1, .., e_k)
+    of t of the products w[e_1] .. w[e_k]; ``w[0]`` is ignored and entry 0
+    is 1.
+
+    One depth-first walk visits every composition of every total <= t_max
+    once (2^(t-1) of total t) and shares each prefix product with all its
+    extensions. The products stay integers: with D the lcm of the
+    denominators of w[1 .. t_max], V[e] = w[e] D^e is an integer, a prefix of
+    total t is an integer over D^t, and one accumulator per total becomes one
+    Fraction at the end.
+    """
+    weights = [Fraction(v) for v in w[1 : t_max + 1]]
+    den = lcm(*(v.denominator for v in weights))
+    V = [0] + [
+        v.numerator * (den // v.denominator) * den ** (e - 1)
+        for e, v in enumerate(weights, start=1)
+    ]
+    acc = [1] + [0] * t_max
+
+    def extend(total: int, prefix: int) -> None:
+        for e in range(1, t_max - total + 1):
+            t = total + e
+            product = prefix * V[e]
+            acc[t] += product
+            if t < t_max:
+                extend(t, product)
+
+    extend(0, 1)
+    return [Fraction(acc[t], den**t) for t in range(t_max + 1)]
 
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

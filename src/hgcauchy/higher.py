@@ -9,13 +9,17 @@ is the weight
 
 the e-th coefficient of (sum_j N/(N+j) x^j)^r, so F_N(x)^r has coefficients
 (-1)^e D_r(e). The five table routes below mirror the first-order ones, with
-D_r(k) replacing N/(N+k) wherever bands or composition weights appear. The
-``recurrence`` and ``determinant`` routes share one triangular Toeplitz solve
+D_r(k) replacing N/(N+k) wherever bands or composition weights appear; at
+r = 1 each one returns the first-order table. The ``recurrence`` and
+``determinant`` routes share one triangular Toeplitz solve
 (:func:`~hgcauchy.series.toeplitz_solve`). ``explicit`` and ``trudi``
 enumerate and share no arithmetic with that kernel; they are the independent
-cross-checks. The ``convolution`` route raises the first-order table to the
-r-th power and never touches the weights, so it checks (1/F_N)^r against the
-solve of F_N^r the other way round.
+cross-checks. ``explicit`` runs the first-order ``compositions`` walk
+(:func:`~hgcauchy.combinat.composition_sum`) over the weights
+(-1)^(e-1) D_r(e), so at r = 1 it is the compositions route. The
+``convolution`` route raises the first-order table to the r-th power and
+never touches the weights, so it checks (1/F_N)^r against the solve of F_N^r
+the other way round.
 """
 
 from __future__ import annotations
@@ -24,14 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .cauchy import CauchyTable, c_via_series, _check_parameters
-from .combinat import STRICT_COMPOSITION_CAP, strict_compositions, weak_compositions
+from .cauchy import CauchyTable, c_via_series, _check_parameters, _trudi_values
+from .combinat import STRICT_COMPOSITION_CAP, composition_sum, weak_compositions
 from .errors import CapExceeded
 from .hessenberg import (
     PARTITION_CAP,
-    HessenbergSpec,
     determinant_sequence,
-    trudi_sum,
     unit_lower_toeplitz_inverse,
 )
 from .report import VerificationReport, failed, passed
@@ -218,23 +220,20 @@ def chor_via_explicit(
 
         c^(r)(N, n) = n! sum_{k=1..n} (-1)^(n-k)
                       sum over compositions (e_1, .., e_k) of n
-                      of D_r(e_1) .. D_r(e_k).
+                      of D_r(e_1) .. D_r(e_k),
+
+    that is n! times the composition sum of the weights (-1)^(e-1) D_r(e),
+    walked once over all n <= n_max by
+    :func:`~hgcauchy.combinat.composition_sum`.
     """
     _check_parameters(N, n_max, r)
     if cap is not None and n_max > cap:
         raise CapExceeded("strict composition enumeration", n_max, cap)
     d = _weights(N, r, n_max)
-    values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for parts in strict_compositions(n):
-            term = (-1) ** (n - len(parts))
-            prod = Fraction(1)
-            for e in parts:
-                prod *= d[e]
-            acc += term * prod
-        values.append(factorial(n) * acc)
-    return CauchyTable(N, r, n_max, tuple(values), "explicit")
+    w = [0] + [(-1) ** (e - 1) * d[e] for e in range(1, n_max + 1)]
+    T = composition_sum(w, n_max)
+    values = tuple(factorial(n) * T[n] for n in range(n_max + 1))
+    return CauchyTable(N, r, n_max, values, "explicit")
 
 
 def chor_via_trudi(
@@ -242,12 +241,10 @@ def chor_via_trudi(
 ) -> CauchyTable:
     """Partition-multiset expansion of the weight-band determinant."""
     _check_parameters(N, n_max, r)
+    if cap is not None and n_max > cap:
+        raise CapExceeded("partition multiset enumeration", n_max, cap)
     d = _weights(N, r, n_max)
-    values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        spec = HessenbergSpec(Fraction(1), tuple(d[1 : n + 1]))
-        values.append(factorial(n) * trudi_sum(spec, cap))
-    return CauchyTable(N, r, n_max, tuple(values), "trudi")
+    return CauchyTable(N, r, n_max, _trudi_values(d[1:], cap), "trudi")
 
 
 def chor_via_convolution(N: int, r: int, n_max: int) -> CauchyTable:

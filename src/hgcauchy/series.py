@@ -216,31 +216,16 @@ def log1p_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def _seq_prefix(seq: Sequence[Fraction], order: int | None, what: str) -> list[Fraction]:
-    values = [Fraction(v) for v in seq]
-    if order is None:
-        return values
-    if order > len(values):
-        raise ValueError(f"{what} supplies {len(values)} terms, order {order} requested")
-    return values[:order]
-
-
-def cameron_transform(
-    x_seq: Sequence[Fraction], order: int | None = None
-) -> list[Fraction]:
+def cameron_transform(x_seq: Sequence[Fraction]) -> list[Fraction]:
     """Sequence transform defined by 1 + sum z_n t^n = (1 - sum x_n t^n)^(-1).
 
-    ``x_seq`` lists x_1 .. x_order; the result lists z_1 .. z_order.
+    ``x_seq`` lists x_1 .. x_m; the result lists z_1 .. z_m.
     """
-    x = _seq_prefix(x_seq, order, "x_seq")
-    base = TruncatedSeries(tuple([Fraction(1)] + [-v for v in x]))
+    base = TruncatedSeries(tuple([Fraction(1)] + [-Fraction(v) for v in x_seq]))
     return list(base.reciprocal().coefficients[1:])
 
 
-def cameron_inverse(
-    z_seq: Sequence[Fraction], order: int | None = None
-) -> list[Fraction]:
-    """Inverse transform: recover x_1 .. x_order from z_1 .. z_order."""
-    z = _seq_prefix(z_seq, order, "z_seq")
-    full = TruncatedSeries(tuple([Fraction(1)] + z))
+def cameron_inverse(z_seq: Sequence[Fraction]) -> list[Fraction]:
+    """Inverse transform: recover x_1 .. x_m from z_1 .. z_m."""
+    full = TruncatedSeries(tuple([Fraction(1)] + list(z_seq)))
     return [-c for c in full.reciprocal().coefficients[1:]]

@@ -20,11 +20,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from . import cauchy, higher, relations
-from .combinat import (
-    STRICT_COMPOSITION_CAP,
-    strict_compositions,
-    weak_compositions,
-)
+from .combinat import STRICT_COMPOSITION_CAP, composition_sum, weak_compositions
 from .hessenberg import (
     PARTITION_CAP,
     determinant_sequence,
@@ -446,7 +442,8 @@ def _product_rule_sweep(instances: int, seed: int) -> VerificationReport:
 
 def _quotient_rule_strict_sweep(instances: int, seed: int) -> VerificationReport:
     """Coefficient n of 1/f as a strict-composition sum with sign (-1)^k and
-    factor f_0^-(k+1)."""
+    factor f_0^-(k+1): 1/f_0 times the composition sum of the weights
+    -f_e/f_0, walked by :func:`~hgcauchy.combinat.composition_sum`."""
     identity = "series/derivative-quotient-rule-strict"
     rng = random.Random(seed + 2)
     for _ in range(instances):
@@ -455,17 +452,7 @@ def _quotient_rule_strict_sweep(instances: int, seed: int) -> VerificationReport
         f = _random_series(rng, order, nonzero_constant=True)
         lhs = f.reciprocal().ht_derivative(n).coefficient(0)
         f0 = f.coefficient(0)
-        rhs = Fraction(0)
-        for k in range(1, n + 1):
-            comp_total = Fraction(0)
-            for parts in strict_compositions(n):
-                if len(parts) != k:
-                    continue
-                prod = Fraction(1)
-                for i in parts:
-                    prod *= f.coefficient(i)
-                comp_total += prod
-            rhs += (-1) ** k / f0 ** (k + 1) * comp_total
+        rhs = composition_sum([-c / f0 for c in f.coefficients], n)[n] / f0
         if lhs != rhs:
             return failed(identity, (0, 0, n), lhs, rhs)
     return passed(identity, (0, 0, instances))

@@ -1,9 +1,17 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# pytest's ``pythonpath`` setting reaches this process only; the CLI tests
+# start ``python -m hgcauchy.cli`` subprocesses, which need ``src`` as well
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 _acceptance_lines: list[str] = []
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hgcauchy.combinat import strict_compositions
+
 
 def dense_determinant(matrix: list[list[Fraction]]) -> Fraction:
     """Cofactor expansion along the first row; fine up to about 7x7."""
@@ -110,6 +112,21 @@ def brute_weight(N: int, r: int, e: int) -> Fraction:
             den *= N + i
         total += Fraction(N**r, den)
     return total
+
+
+def naive_composition_sum(w: list[Fraction], t_max: int) -> list[Fraction]:
+    """For t = 0 .. t_max, the sum over strict compositions of t of the
+    products of the weights w[e_j]: one Fraction product per tuple."""
+    out = []
+    for t in range(t_max + 1):
+        total = Fraction(0)
+        for parts in strict_compositions(t):
+            product = Fraction(1)
+            for e in parts:
+                product *= w[e]
+            total += product
+        out.append(total)
+    return out
 
 
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:

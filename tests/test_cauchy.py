@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import hgcauchy
 from hgcauchy.cauchy import (
     CauchyTable,
     c_closed_form,
@@ -19,6 +20,7 @@ from hgcauchy.cauchy import (
 )
 from hgcauchy.errors import CapExceeded
 from hgcauchy.hessenberg import determinant_sequence
+from hgcauchy.higher import chor_via_trudi
 from hgcauchy.series import TruncatedSeries, log1p_series
 
 ALL_METHODS = (
@@ -198,6 +200,17 @@ class TestCaps:
     def test_trudi_cap(self):
         with pytest.raises(CapExceeded):
             c_via_trudi(1, 25)
+
+    def test_trudi_cap_checked_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trudi_sum ran for an over-cap table")
+
+        for module in (hgcauchy.cauchy, hgcauchy.higher, hgcauchy.hessenberg):
+            monkeypatch.setattr(module, "trudi_sum", refuse, raising=False)
+        with pytest.raises(CapExceeded):
+            c_via_trudi(3, 25)
+        with pytest.raises(CapExceeded):
+            chor_via_trudi(3, 2, 25)
 
     def test_uncapped_small_case_runs(self):
         assert c_via_compositions(1, 5, cap=None).values == c_via_series(1, 5).values

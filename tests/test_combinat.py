@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction as F
 from itertools import islice
 from math import comb
 
 from hgcauchy.combinat import (
     STRICT_COMPOSITION_CAP,
+    composition_sum,
     multinomial,
     strict_compositions,
     weak_compositions,
 )
+from hgcauchy.higher import weight_D
 from hgcauchy.rational import format_rational, parse_rational, rat
+from oracles import naive_composition_sum, random_fraction
 
 
 def test_strict_composition_counts():
@@ -31,6 +35,35 @@ def test_generator_is_lazy_and_uncapped():
     opening = list(islice(strict_compositions(STRICT_COMPOSITION_CAP + 8), 2))
     assert opening[0] == (1,) * (STRICT_COMPOSITION_CAP + 8)
     assert opening[1] == (1,) * (STRICT_COMPOSITION_CAP + 6) + (2,)
+
+
+def test_composition_sum_random_weights():
+    rng = random.Random(20261018)
+    for t_max in range(11):
+        for _ in range(3):
+            w = [random_fraction(rng) for _ in range(t_max + 1)]
+            w[rng.randint(1, t_max) if t_max else 0] = F(0)
+            assert composition_sum(w, t_max) == naive_composition_sum(w, t_max)
+
+
+def test_composition_sum_ignores_w0():
+    w = [F(1, 3), F(-2, 7), F(5, 4), F(0), F(-9, 2), F(3)]
+    expected = naive_composition_sum(w, 5)
+    for head in (F(0), F(-7, 3), F(11, 5), F(1)):
+        assert composition_sum([head] + w[1:], 5) == expected
+
+
+def test_composition_sum_paper_weights():
+    for N in (1, 5, 64):
+        ratios = [F(N, N + e) for e in range(13)]
+        assert composition_sum(ratios, 12) == naive_composition_sum(ratios, 12)
+        d3 = list(weight_D(N, 3, 12).values)
+        assert composition_sum(d3, 12) == naive_composition_sum(d3, 12)
+
+
+def test_composition_sum_empty_total():
+    assert composition_sum([F(5, 2)], 0) == [1]
+    assert composition_sum([F(5, 2), F(3)], 1) == [1, 3]
 
 
 def test_weak_composition_counts():

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hgcauchy import verify
 from hgcauchy.report import VerificationReport, erratum, failed, passed
 from hgcauchy.verify import (
     core_suite,
@@ -111,3 +112,17 @@ class TestSuites:
         # n deeper than the chain cap must not raise while capped
         records = relations_suite(N_max=2, r_max=1, n_max=15)
         assert all(r.status == "pass" for r in records)
+
+
+class TestStrictSweepSensitivity:
+    def test_walk_wrong_at_its_last_total_fails_the_sweep(self, monkeypatch):
+        walk = verify.composition_sum
+
+        def off_by_one_at_the_end(w, t_max):
+            sums = walk(w, t_max)
+            sums[-1] += 1
+            return sums
+
+        assert verify._quotient_rule_strict_sweep(200, 1729).status == "pass"
+        monkeypatch.setattr(verify, "composition_sum", off_by_one_at_the_end)
+        assert verify._quotient_rule_strict_sweep(200, 1729).status == "fail"
