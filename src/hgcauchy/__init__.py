@@ -32,6 +32,7 @@ from .combinat import (
     composition_sum,
     multinomial,
     strict_compositions,
+    weak_composition_sum,
     weak_compositions,
 )
 from .errors import CapExceeded, OrderExceeded, ZeroConstantTerm
@@ -59,7 +60,7 @@ from .higher import (
     weight_reference_form,
     weight_reference_mismatches,
 )
-from .rational import Rational, format_rational, parse_rational, rat
+from .rational import format_rational, parse_rational
 from .relations import (
     CHAIN_CAP,
     ChainIndex,
@@ -74,7 +75,6 @@ from .series import (
     TruncatedSeries,
     cameron_inverse,
     cameron_transform,
-    ht_derivative,
     log1p_series,
 )
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
@@ -91,7 +91,6 @@ __all__ = [
     "HessenbergSpec",
     "OrderExceeded",
     "PARTITION_CAP",
-    "Rational",
     "STRICT_COMPOSITION_CAP",
     "SUITE_NAMES",
     "TruncatedSeries",
@@ -126,16 +125,15 @@ __all__ = [
     "format_rational",
     "hgc_generating_series",
     "hessenberg_det",
-    "ht_derivative",
     "log1p_series",
     "multinomial",
     "parse_rational",
-    "rat",
     "ratio_inversion",
     "run_suites",
     "strict_compositions",
     "trudi_sum",
     "unit_lower_toeplitz_inverse",
+    "weak_composition_sum",
     "weak_compositions",
     "weight_D",
     "weight_D_by_enumeration",

@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_invert.add_argument(
         "--n-max", type=int, required=True, help="largest band index n >= 1"
     )
-    _add_caps_flag(p_invert)
     p_invert.set_defaults(handler=cmd_invert)
 
     return parser
@@ -225,7 +224,6 @@ def cmd_invert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("--r must be at least 1")
     if args.n_max < 1:
         parser.error("--n-max must be at least 1")
-    _warn_unsafe(args)
 
     N, r, n_max = args.N, args.r, args.n_max
     if args.rule == "cauchy":

@@ -1,21 +1,25 @@
 """Ordered-sum enumeration shared by the explicit expansion formulas.
 
-:func:`composition_sum` is the package's one walk over strict compositions:
-the compositions and explicit routes and the strict quotient-rule sweep call
-it with their own weights. :func:`strict_compositions` yields the same
+Every exponential product sum in the package is a call to one of two walks,
+:func:`composition_sum` over strict compositions and
+:func:`weak_composition_sum` over weak compositions. The generators
+:func:`strict_compositions` and :func:`weak_compositions` yield the same
 compositions one tuple at a time, for naive reference sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Iterator, Sequence
+
+from .series import _scaled
 
 __all__ = [
     "STRICT_COMPOSITION_CAP",
     "composition_sum",
     "strict_compositions",
+    "weak_composition_sum",
     "weak_compositions",
     "multinomial",
 ]
@@ -50,12 +54,8 @@ def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
     total t is an integer over D^t, and one accumulator per total becomes one
     Fraction at the end.
     """
-    weights = [Fraction(v) for v in w[1 : t_max + 1]]
-    den = lcm(*(v.denominator for v in weights))
-    V = [0] + [
-        v.numerator * (den // v.denominator) * den ** (e - 1)
-        for e, v in enumerate(weights, start=1)
-    ]
+    U, den = _scaled(w[1 : t_max + 1])
+    V = [0] + [u * den ** (e - 1) for e, u in enumerate(U, start=1)]
     acc = [1] + [0] * t_max
 
     def extend(total: int, prefix: int) -> None:
@@ -82,6 +82,29 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in weak_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def weak_composition_sum(w: Sequence[Fraction], total: int, parts: int) -> list[Fraction]:
+    """For k = 0 .. parts, the sum over weak compositions (i_1, .., i_k) of
+    ``total`` of the products w[i_1] .. w[i_k]; entry 0 is 1 at total 0.
+
+    One depth-first walk visits every weak composition of every k <= parts
+    once and shares each prefix product with all its extensions, in
+    integers: with D the lcm of the denominators of w[0 .. total], a prefix
+    of k parts is an integer over D^k, and each k becomes one Fraction.
+    """
+    V, den = _scaled(w[: total + 1])
+    acc = [0] * (parts + 1)
+
+    def extend(k: int, left: int, prefix: int) -> None:
+        if left == 0:
+            acc[k] += prefix
+        if k < parts:
+            for i in range(left + 1):
+                extend(k + 1, left - i, prefix * V[i])
+
+    extend(0, total, 1)
+    return [Fraction(acc[k], den**k) for k in range(parts + 1)]
 
 
 def multinomial(parts: Sequence[int]) -> int:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .cauchy import CauchyTable, c_via_series, _check_parameters, _trudi_values
-from .combinat import STRICT_COMPOSITION_CAP, composition_sum, weak_compositions
+from .combinat import STRICT_COMPOSITION_CAP, composition_sum, weak_composition_sum
 from .errors import CapExceeded
 from .hessenberg import (
     PARTITION_CAP,
@@ -87,23 +87,16 @@ def weight_D(N: int, r: int, e_max: int) -> WeightTable:
 
 
 def weight_D_by_enumeration(N: int, r: int, e_max: int) -> list[Fraction]:
-    """Brute-force definition of D_r(e): one term per weak composition.
+    """Brute-force definition of D_r(e): N^r times the sum over weak
+    compositions of e into r parts of the products of the weights 1/(N+i),
+    walked by :func:`~hgcauchy.combinat.weak_composition_sum`.
 
     Exponential in e and r; kept as the independent cross-check for
     :func:`weight_D`.
     """
     _check_parameters(N, e_max, r)
-    out = []
-    top = Fraction(N**r)
-    for e in range(e_max + 1):
-        acc = Fraction(0)
-        for parts in weak_compositions(e, r):
-            den = 1
-            for i in parts:
-                den *= N + i
-            acc += top / den
-        out.append(acc)
-    return out
+    w = [Fraction(1, N + i) for i in range(e_max + 1)]
+    return [N**r * weak_composition_sum(w, e, r)[r] for e in range(e_max + 1)]
 
 
 def weight_reference_form(

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Rational", "rat", "format_rational", "parse_rational"]
-
-Rational = Fraction
-
-
-def rat(numerator: int, denominator: int = 1) -> Fraction:
-    return Fraction(numerator, denominator)
+__all__ = ["format_rational", "parse_rational"]
 
 
 def format_rational(value: Fraction) -> str:

@@ -15,7 +15,11 @@ Two independent bridges are verified here, both stated for N >= 2:
                 prod_{k=1..m} c(N-1, i_(k-1)-i_k+1) / (i_(k-1)-i_k+1)!.
 
 The chains are exactly the subsets of {0, .., n-1} joined with the forced
-head i_0 = n, so there are 2^n of them; hence the safety cap.
+head i_0 = n, so there are 2^n of them. The gaps g_k = i_(k-1) - i_k of a
+chain with tail t = i_m form a strict composition of n - t, so one
+:func:`~hgcauchy.combinat.composition_sum` walk sums every chain of every
+head n <= n_max through 2^n_max - 1 prefixes; hence the safety cap.
+:func:`descending_chains` and :func:`chain_term` are the per-chain reference.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from math import comb, factorial
 from typing import Iterator
 
 from .cauchy import c_via_series
+from .combinat import composition_sum
 from .errors import CapExceeded
 from .report import VerificationReport, failed, passed
 
@@ -124,15 +129,18 @@ def chain_term(
 def chain_sum(
     N: int, n_max: int, cap: int | None = CHAIN_CAP
 ) -> VerificationReport:
-    """Full descending-chain expansion, checked for n = 1 .. n_max."""
+    """Full descending-chain expansion, checked for n = 1 .. n_max. With
+    b_t = c(N-1, t)/t!, the chains of head n and tail t sum to n! b_t S[n-t],
+    where S is the composition sum of the gap weights N/(1-N) b_(g+1)."""
     if cap is not None and n_max > cap:
         raise CapExceeded("descending chain enumeration", n_max, cap)
     current, previous = _tables(N, n_max)
     identity = "relations/descending-chain-expansion"
+    b = [v / factorial(t) for t, v in enumerate(previous)]
+    # gap g weighs N/(1-N) b[g+1], entry g of this list
+    S = composition_sum([Fraction(N, 1 - N) * v for v in b[1:]], n_max)
     for n in range(1, n_max + 1):
-        total = Fraction(0)
-        for chain in descending_chains(n):
-            total += chain_term(chain, N, previous)
+        total = factorial(n) * sum(b[t] * S[n - t] for t in range(n + 1))
         if current[n] != total:
             return failed(identity, (N, 1, n), current[n], total)
     return passed(identity, (N, 1, n_max))

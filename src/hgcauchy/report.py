@@ -22,9 +22,6 @@ On an erratum-noted record the same slot reads (as printed, corrected), or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .rational import format_rational
 
 __all__ = ["VerificationReport", "passed", "failed", "erratum"]
 
@@ -57,18 +54,12 @@ class VerificationReport:
         }
 
 
-def _text(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
-
-
 def passed(identity: str, point: tuple[int, int, int]) -> VerificationReport:
     return VerificationReport(identity, point, "pass")
 
 
 def failed(identity: str, point: tuple[int, int, int], expected, actual) -> VerificationReport:
-    return VerificationReport(identity, point, "fail", (_text(expected), _text(actual)))
+    return VerificationReport(identity, point, "fail", (str(expected), str(actual)))
 
 
 def erratum(
@@ -79,5 +70,5 @@ def erratum(
 ) -> VerificationReport:
     detail = None
     if expected is not None or actual is not None:
-        detail = (_text(expected), _text(actual))
+        detail = (str(expected), str(actual))
     return VerificationReport(identity, point, "erratum-noted", detail)

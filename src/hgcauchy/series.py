@@ -31,7 +31,6 @@ from .errors import OrderExceeded, ZeroConstantTerm
 __all__ = [
     "TruncatedSeries",
     "log1p_series",
-    "ht_derivative",
     "cameron_transform",
     "cameron_inverse",
 ]
@@ -200,10 +199,6 @@ def toeplitz_solve(a: Sequence[Fraction]) -> list[Fraction]:
         m.append(grow)
         L *= grow
     return out
-
-
-def ht_derivative(series: TruncatedSeries, n: int) -> TruncatedSeries:
-    return series.ht_derivative(n)
 
 
 def log1p_series(order: int) -> TruncatedSeries:

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from . import cauchy, higher, relations
-from .combinat import STRICT_COMPOSITION_CAP, composition_sum, weak_compositions
+from . import cauchy, combinat, higher, relations
+from .combinat import STRICT_COMPOSITION_CAP, composition_sum, weak_composition_sum
 from .hessenberg import (
     PARTITION_CAP,
     determinant_sequence,
@@ -233,24 +233,23 @@ def _weak_composition_residual(table: cauchy.CauchyTable) -> VerificationReport:
     """The order-r defining relation, evaluated by brute-force enumeration:
 
         sum_{m=0..n} sum over weak compositions (i_1..i_r) of n-m
-        of (-1)^(n-m) c^(r)(N, m) / (m! (N+i_1) .. (N+i_r))  ==  0.
+        of (-1)^(n-m) c^(r)(N, m) / (m! (N+i_1) .. (N+i_r))  ==  0,
 
-    Checked on the convolution-method table so neither side shares code with
-    the weight recurrence.
+    the inner sums walked over the weights 1/(N+i) by
+    :func:`~hgcauchy.combinat.weak_composition_sum`. Checked on the
+    convolution-method table so neither side shares code with the weight
+    recurrence.
     """
     identity = "higher/defining-recurrence-residual"
     N, r = table.N, table.r
     top = min(table.n_max, 10)
+    w = [Fraction(1, N + i) for i in range(top + 1)]
+    inner = [weak_composition_sum(w, d, r)[r] for d in range(top + 1)]
     for n in range(1, top + 1):
-        acc = Fraction(0)
-        for m in range(n + 1):
-            sign = (-1) ** (n - m)
-            scale = table.values[m] / factorial(m)
-            for parts in weak_compositions(n - m, r):
-                den = 1
-                for i in parts:
-                    den *= N + i
-                acc += sign * scale / den
+        acc = sum(
+            (-1) ** (n - m) * table.values[m] / factorial(m) * inner[n - m]
+            for m in range(n + 1)
+        )
         if acc != 0:
             return failed(identity, (N, r, n), Fraction(0), acc)
     return passed(identity, (N, r, top))
@@ -425,7 +424,7 @@ def _product_rule_sweep(instances: int, seed: int) -> VerificationReport:
             product = product * f
         lhs = product.ht_derivative(n)
         rhs = None
-        for parts in weak_compositions(n, k):
+        for parts in combinat.weak_compositions(n, k):
             term = factors[0].ht_derivative(parts[0])
             for f, i in zip(factors[1:], parts[1:]):
                 term = term * f.ht_derivative(i)
@@ -459,7 +458,9 @@ def _quotient_rule_strict_sweep(instances: int, seed: int) -> VerificationReport
 
 
 def _quotient_rule_weighted_sweep(instances: int, seed: int) -> VerificationReport:
-    """Same target through binomial(n+1, k+1) weights over weak compositions."""
+    """Same target through binomial(n+1, k+1) weights over weak compositions
+    of n into k parts, one walk of the coefficients of f for every k by
+    :func:`~hgcauchy.combinat.weak_composition_sum`."""
     identity = "series/derivative-quotient-rule-weighted"
     rng = random.Random(seed + 3)
     for _ in range(instances):
@@ -468,15 +469,11 @@ def _quotient_rule_weighted_sweep(instances: int, seed: int) -> VerificationRepo
         f = _random_series(rng, order, nonzero_constant=True)
         lhs = f.reciprocal().ht_derivative(n).coefficient(0)
         f0 = f.coefficient(0)
-        rhs = Fraction(0)
-        for k in range(1, n + 1):
-            comp_total = Fraction(0)
-            for parts in weak_compositions(n, k):
-                prod = Fraction(1)
-                for i in parts:
-                    prod *= f.coefficient(i)
-                comp_total += prod
-            rhs += comb(n + 1, k + 1) * (-1) ** k / f0 ** (k + 1) * comp_total
+        W = weak_composition_sum(f.coefficients, n, n)
+        rhs = sum(
+            comb(n + 1, k + 1) * (-1) ** k / f0 ** (k + 1) * W[k]
+            for k in range(1, n + 1)
+        )
         if lhs != rhs:
             return failed(identity, (0, 0, n), lhs, rhs)
     return passed(identity, (0, 0, instances))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hgcauchy.combinat import strict_compositions
+from hgcauchy.combinat import strict_compositions, weak_compositions
 
 
 def dense_determinant(matrix: list[list[Fraction]]) -> Fraction:
@@ -126,6 +126,24 @@ def naive_composition_sum(w: list[Fraction], t_max: int) -> list[Fraction]:
                 product *= w[e]
             total += product
         out.append(total)
+    return out
+
+
+def naive_weak_composition_sum(
+    w: list[Fraction], total: int, parts: int
+) -> list[Fraction]:
+    """For k = 0 .. parts, the sum over weak compositions of ``total`` into
+    k parts of the products of the weights w[i_j]: one Fraction product per
+    tuple."""
+    out = []
+    for k in range(parts + 1):
+        acc = Fraction(0)
+        for comp in weak_compositions(total, k):
+            product = Fraction(1)
+            for i in comp:
+                product *= w[i]
+            acc += product
+        out.append(acc)
     return out
 
 

@@ -191,3 +191,13 @@ class TestInvert:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "invert", "--N", "1", "--n-max", "3")
         assert exc.value.code == 2
+
+    def test_unsafe_caps_rejected(self, capsys):
+        # invert enumerates nothing, so it has no caps to lift
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                capsys,
+                "invert", "--rule", "hgc", "--N", "2", "--n-max", "4",
+                "--unsafe-caps",
+            )
+        assert exc.value.code == 2

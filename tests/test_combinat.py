@@ -8,11 +8,16 @@ from hgcauchy.combinat import (
     composition_sum,
     multinomial,
     strict_compositions,
+    weak_composition_sum,
     weak_compositions,
 )
 from hgcauchy.higher import weight_D
-from hgcauchy.rational import format_rational, parse_rational, rat
-from oracles import naive_composition_sum, random_fraction
+from hgcauchy.rational import format_rational, parse_rational
+from oracles import (
+    naive_composition_sum,
+    naive_weak_composition_sum,
+    random_fraction,
+)
 
 
 def test_strict_composition_counts():
@@ -74,6 +79,27 @@ def test_weak_composition_counts():
             assert all(sum(c) == total and len(c) == parts for c in comps)
 
 
+def test_weak_composition_sum_random_weights():
+    rng = random.Random(20261019)
+    for total in range(8):
+        for parts in range(7):
+            # random_fraction draws signed numerators; every other case
+            # also gets a zero weight, at index 0 as often as elsewhere
+            w = [random_fraction(rng) for _ in range(total + 1)]
+            if (total + parts) % 2:
+                w[rng.randint(0, total)] = F(0)
+            expected = naive_weak_composition_sum(w, total, parts)
+            assert weak_composition_sum(w, total, parts) == expected
+
+
+def test_weak_composition_sum_edges():
+    # no parts: only the empty composition of 0; zero total: only all-zero parts
+    assert weak_composition_sum([F(3, 2)], 0, 0) == [1]
+    assert weak_composition_sum([F(3, 2), F(1)], 1, 0) == [0]
+    assert weak_composition_sum([F(3, 2)], 0, 3) == [1, F(3, 2), F(9, 4), F(27, 8)]
+    assert weak_composition_sum([F(2), F(5)], 1, 2) == [0, 5, 20]
+
+
 def test_multinomial_values():
     assert multinomial(()) == 1
     assert multinomial((3,)) == 1
@@ -86,4 +112,3 @@ def test_rational_round_trip():
         assert parse_rational(format_rational(value)) == value
     assert format_rational(F(-1, 12)) == "-1/12"
     assert parse_rational(" 3/4 ") == F(3, 4)
-    assert rat(2, 6) == F(1, 3)

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from hgcauchy import relations
 from hgcauchy.cauchy import c_via_series
 from hgcauchy.errors import CapExceeded
 from hgcauchy.relations import (
@@ -88,3 +89,38 @@ class TestChainExpansion:
             second = chain_example_second(N)
             assert first.status == "pass", first
             assert second.status == "pass", second
+
+    def test_totals_equal_per_chain_sums(self, monkeypatch):
+        # chain_sum checks its totals against the first table _tables returns;
+        # handing it the naive per-chain sums there makes it pass only if
+        # every one of its totals equals them
+        for N in range(2, 6):
+            previous = list(c_via_series(N - 1, 11).values)
+            naive = [
+                sum((chain_term(c, N, previous) for c in descending_chains(n)), F(0))
+                for n in range(11)
+            ]
+            assert naive == list(c_via_series(N, 10).values)
+            monkeypatch.setattr(relations, "_tables", lambda *_: (naive, previous))
+            assert chain_sum(N, 10).status == "pass"
+            naive[10] += 1
+            report = chain_sum(N, 10)
+            assert report.status == "fail"
+            assert report.parameter_point == (N, 1, 10)
+            assert report.detail[1] == str(naive[10] - 1)
+
+
+class TestChainWalkSensitivity:
+    def test_walk_wrong_at_its_last_total_fails_the_expansion(self, monkeypatch):
+        walk = relations.composition_sum
+
+        def off_by_one_at_the_end(w, t_max):
+            sums = walk(w, t_max)
+            sums[-1] += 1
+            return sums
+
+        assert chain_sum(3, 8).status == "pass"
+        monkeypatch.setattr(relations, "composition_sum", off_by_one_at_the_end)
+        report = chain_sum(3, 8)
+        assert report.status == "fail"
+        assert report.parameter_point == (3, 1, 8)

@@ -9,7 +9,6 @@ from hgcauchy.series import (
     TruncatedSeries,
     cameron_inverse,
     cameron_transform,
-    ht_derivative,
     log1p_series,
 )
 from oracles import random_coefficients, random_fraction
@@ -111,10 +110,6 @@ class TestDerivative:
     def test_beyond_order_rejected(self):
         with pytest.raises(OrderExceeded):
             series(1, 2).ht_derivative(3)
-
-    def test_module_level_helper(self):
-        s = series(1, 2, 3)
-        assert ht_derivative(s, 1) == s.ht_derivative(1)
 
     def test_product_rule(self):
         # H^(n)(f_1 .. f_k) expands over weak compositions of n

@@ -126,3 +126,17 @@ class TestStrictSweepSensitivity:
         assert verify._quotient_rule_strict_sweep(200, 1729).status == "pass"
         monkeypatch.setattr(verify, "composition_sum", off_by_one_at_the_end)
         assert verify._quotient_rule_strict_sweep(200, 1729).status == "fail"
+
+
+class TestWeightedSweepSensitivity:
+    def test_walk_wrong_at_its_last_part_count_fails_the_sweep(self, monkeypatch):
+        walk = verify.weak_composition_sum
+
+        def off_by_one_at_the_end(w, total, parts):
+            sums = walk(w, total, parts)
+            sums[-1] += 1
+            return sums
+
+        assert verify._quotient_rule_weighted_sweep(200, 1729).status == "pass"
+        monkeypatch.setattr(verify, "weak_composition_sum", off_by_one_at_the_end)
+        assert verify._quotient_rule_weighted_sweep(200, 1729).status == "fail"
