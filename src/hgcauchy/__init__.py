@@ -43,6 +43,7 @@ from .hessenberg import (
     determinant_inversion_roundtrip,
     enumerate_partition_multiplicities,
     hessenberg_det,
+    trudi_sequence,
     trudi_sum,
     unit_lower_toeplitz_inverse,
 )
@@ -60,7 +61,6 @@ from .higher import (
     weight_reference_form,
     weight_reference_mismatches,
 )
-from .rational import format_rational, parse_rational
 from .relations import (
     CHAIN_CAP,
     ChainIndex,
@@ -122,15 +122,14 @@ __all__ = [
     "determinant_sequence",
     "determinant_inversion_roundtrip",
     "enumerate_partition_multiplicities",
-    "format_rational",
     "hgc_generating_series",
     "hessenberg_det",
     "log1p_series",
     "multinomial",
-    "parse_rational",
     "ratio_inversion",
     "run_suites",
     "strict_compositions",
+    "trudi_sequence",
     "trudi_sum",
     "unit_lower_toeplitz_inverse",
     "weak_composition_sum",

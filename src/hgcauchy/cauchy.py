@@ -40,10 +40,9 @@ from .combinat import STRICT_COMPOSITION_CAP, composition_sum, multinomial
 from .errors import CapExceeded
 from .hessenberg import (
     PARTITION_CAP,
-    HessenbergSpec,
     determinant_sequence,
     enumerate_partition_multiplicities,
-    trudi_sum,
+    trudi_sequence,
 )
 from .report import VerificationReport, failed, passed
 from .series import TruncatedSeries, toeplitz_solve
@@ -200,12 +199,10 @@ def c_via_compositions(
 
 def _trudi_values(band: list[Fraction], cap: int | None) -> tuple[Fraction, ...]:
     """n! times the Trudi expansion of the determinant over band[:n], for
-    n = 0 .. len(band); shared by the first-order and order-r routes."""
-    values = [Fraction(1)]
-    for n in range(1, len(band) + 1):
-        spec = HessenbergSpec(Fraction(1), tuple(band[:n]))
-        values.append(factorial(n) * trudi_sum(spec, cap))
-    return tuple(values)
+    n = 0 .. len(band): one :func:`~hgcauchy.hessenberg.trudi_sequence` walk
+    for the whole table, shared by the first-order and order-r routes."""
+    dets = trudi_sequence(Fraction(1), band, cap)
+    return tuple(factorial(n) * d for n, d in enumerate(dets))
 
 
 def c_via_trudi(
@@ -215,6 +212,10 @@ def c_via_trudi(
 
         c(N, n) = n! sum over multiplicity vectors (t_1..t_n) of
                   multinomial(t) (-1)^(n - sum t) prod (N/(N+k))^(t_k).
+
+    Every multiplicity vector of every n <= n_max is visited once, by one
+    walk (:func:`~hgcauchy.hessenberg.trudi_sequence`) that shares prefix
+    products in integers; the cap is checked before any work.
     """
     _check_parameters(N, n_max)
     if cap is not None and n_max > cap:

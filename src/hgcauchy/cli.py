@@ -20,7 +20,6 @@ from . import cauchy, higher
 from .combinat import STRICT_COMPOSITION_CAP
 from .errors import CapExceeded
 from .hessenberg import PARTITION_CAP, determinant_sequence, unit_lower_toeplitz_inverse
-from .rational import format_rational
 from .relations import CHAIN_CAP
 from .report import VerificationReport
 from .verify import SUITE_NAMES, run_suites
@@ -154,13 +153,13 @@ def cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     values = table.normalized() if args.normalized else list(table.values)
     if args.format == "csv":
         for n, value in enumerate(values):
-            print(f"{n},{format_rational(value)}")
+            print(f"{n},{value}")
     else:
         payload = {
             "N": N,
             "r": r,
             "method": args.method,
-            "values": [format_rational(v) for v in values],
+            "values": [str(v) for v in values],
         }
         print(json.dumps(payload, indent=2))
     return 0
@@ -241,10 +240,10 @@ def cmd_invert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     for n in range(1, n_max + 1):
         row = (
             str(n),
-            format_rational(rule[n - 1]),
-            format_rational(alpha[n - 1]),
-            format_rational(recovered[n - 1]),
-            format_rational(bands[n - 1]),
+            str(rule[n - 1]),
+            str(alpha[n - 1]),
+            str(recovered[n - 1]),
+            str(bands[n - 1]),
         )
         print("\t".join(row))
     return 0 if recovered == rule else 1

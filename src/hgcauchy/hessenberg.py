@@ -7,11 +7,14 @@ Expanding along the last column gives the division-free recurrence
 
     d_0 = 1,   d_k = sum_{l=1..k} (-1)^(l-1) a_0^(l-1) a_l d_(k-l),
 
-so each d_k is the determinant of the leading k x k matrix. The same value has
-a closed combinatorial expansion over partition multisets (Trudi's formula),
-and for a_0 = 1, d covers band inversion of unit lower-triangular Toeplitz
-matrices; both are implemented here and cross-checked in the verification
-suites.
+so each d_k is the determinant of the leading k x k matrix, and the whole
+sequence is one triangular Toeplitz solve (:func:`determinant_sequence`). The
+same values have a closed combinatorial expansion over partition multisets
+(Trudi's formula), :func:`trudi_sequence`: one depth-first walk over the
+partitions of every m <= n that shares its prefix products in integers and
+shares no arithmetic with the solve. For a_0 = 1, d covers band inversion of
+unit lower-triangular Toeplitz matrices. The routes are cross-checked in the
+verification suites.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .combinat import multinomial
 from .errors import CapExceeded
 from .report import VerificationReport, failed, passed
-from .series import toeplitz_solve
+from .series import _scaled, toeplitz_solve
 
 __all__ = [
     "PARTITION_CAP",
@@ -31,6 +33,7 @@ __all__ = [
     "determinant_sequence",
     "hessenberg_det",
     "enumerate_partition_multiplicities",
+    "trudi_sequence",
     "trudi_sum",
     "unit_lower_toeplitz_inverse",
     "determinant_inversion_roundtrip",
@@ -139,28 +142,60 @@ def enumerate_partition_multiplicities(
     return result
 
 
-def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction:
-    """Determinant of ``spec`` by the partition-multiset expansion:
+def trudi_sequence(
+    super_entry: Fraction, band: Sequence[Fraction], cap: int | None = PARTITION_CAP
+) -> list[Fraction]:
+    """[d_0, d_1, .., d_n] by the partition-multiset expansion (Trudi):
 
-        sum over (t_1..t_n) of multinomial(t) * (-a_0)^(n - sum t)
-                                              * prod a_k^(t_k).
+        d_m = sum over (t_1..t_m) with sum k*t_k = m of
+              multinomial(t) * (-a_0)^(m - sum t) * prod a_k^(t_k).
 
-    Agrees with :func:`hessenberg_det`; exponential in enumeration size, hence
-    the cap.
+    One depth-first walk visits every multiplicity vector of every m <= n
+    once, taking the parts in ascending order with t copies of each, and
+    carries three running values: s = sum t, the integer multinomial
+    (M <- M*s//t per added copy) and the integer band product over D^s,
+    D the lcm of the band's denominators. One integer accumulator per
+    (m, s) collects the terms; (-a_0)^(m - s) is applied at the end and
+    each d_m becomes one Fraction. Agrees with :func:`determinant_sequence`;
+    exponential in n, hence the cap, checked before any work.
     """
-    n = spec.n
-    if n == 0:
-        return Fraction(1)
-    neg_super = -spec.super_entry
-    total = Fraction(0)
-    for tvec in enumerate_partition_multiplicities(n, cap):
-        t_sum = sum(tvec)
-        term = Fraction(multinomial(tvec)) * neg_super ** (n - t_sum)
-        for k, t in enumerate(tvec, start=1):
-            if t:
-                term *= spec.band[k - 1] ** t
-        total += term
-    return total
+    n = len(band)
+    if cap is not None and n > cap:
+        raise CapExceeded("partition multiset enumeration", n, cap)
+    A, den = _scaled([Fraction(b) for b in band])
+    acc = [[0] * (m + 1) for m in range(n + 1)]
+
+    def extend(first: int, m: int, s: int, coeff: int, product: int) -> None:
+        # coeff is the multinomial, product the band product over D^s
+        acc[m][s] += coeff * product
+        for k in range(first, n - m + 1):
+            mk, sk, ck, pk = m, s, coeff, product
+            for t in range(1, (n - m) // k + 1):
+                mk += k
+                sk += 1
+                ck = ck * sk // t
+                pk *= A[k - 1]
+                extend(k + 1, mk, sk, ck, pk)
+
+    extend(1, 0, 0, 1, 1)
+    neg_super = -Fraction(super_entry)
+    p, q = neg_super.numerator, neg_super.denominator
+    out = []
+    for m, row in enumerate(acc):
+        # sum_s row[s] p^(m-s) / (q^(m-s) D^s), all over (q D)^m
+        num = sum(
+            c * p ** (m - s) * q**s * den ** (m - s) for s, c in enumerate(row)
+        )
+        out.append(Fraction(num, (q * den) ** m))
+    return out
+
+
+def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction:
+    """Determinant of ``spec`` by the partition-multiset expansion, the last
+    entry of :func:`trudi_sequence`. Agrees with :func:`hessenberg_det`;
+    exponential in enumeration size, hence the cap.
+    """
+    return trudi_sequence(spec.super_entry, spec.band, cap)[-1]
 
 
 def unit_lower_toeplitz_inverse(

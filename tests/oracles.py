@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hgcauchy.combinat import strict_compositions, weak_compositions
+from hgcauchy.combinat import multinomial, strict_compositions, weak_compositions
+from hgcauchy.hessenberg import HessenbergSpec, enumerate_partition_multiplicities
+from hgcauchy.series import TruncatedSeries
 
 
 def dense_determinant(matrix: list[list[Fraction]]) -> Fraction:
@@ -145,6 +147,43 @@ def naive_weak_composition_sum(
             acc += product
         out.append(acc)
     return out
+
+
+def naive_trudi_sum(spec: HessenbergSpec) -> Fraction:
+    """Determinant of ``spec`` by the partition-multiset expansion
+
+        sum over (t_1..t_n) of multinomial(t) * (-a_0)^(n - sum t)
+                                              * prod a_k^(t_k),
+
+    one Fraction product per multiplicity vector."""
+    n = spec.n
+    if n == 0:
+        return Fraction(1)
+    neg_super = -spec.super_entry
+    total = Fraction(0)
+    for tvec in enumerate_partition_multiplicities(n, cap=None):
+        t_sum = sum(tvec)
+        term = Fraction(multinomial(tvec)) * neg_super ** (n - t_sum)
+        for k, t in enumerate(tvec, start=1):
+            if t:
+                term *= spec.band[k - 1] ** t
+        total += term
+    return total
+
+
+def naive_product_rule_rhs(
+    factors: list[TruncatedSeries], n: int
+) -> TruncatedSeries:
+    """The sum over weak compositions (i_1, .., i_k) of n of the products of
+    the derivatives H^(i_j) f_j, each term multiplied from scratch as
+    series."""
+    rhs = None
+    for parts in weak_compositions(n, len(factors)):
+        term = factors[0].ht_derivative(parts[0])
+        for f, i in zip(factors[1:], parts[1:]):
+            term = term * f.ht_derivative(i)
+        rhs = term if rhs is None else rhs + term
+    return rhs
 
 
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:

@@ -212,6 +212,17 @@ class TestCaps:
         with pytest.raises(CapExceeded):
             chor_via_trudi(3, 2, 25)
 
+    def test_trudi_cap_checked_before_the_walk(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trudi_sequence ran for an over-cap table")
+
+        for module in (hgcauchy.cauchy, hgcauchy.higher, hgcauchy.hessenberg):
+            monkeypatch.setattr(module, "trudi_sequence", refuse, raising=False)
+        with pytest.raises(CapExceeded):
+            c_via_trudi(3, 25)
+        with pytest.raises(CapExceeded):
+            chor_via_trudi(3, 2, 25)
+
     def test_uncapped_small_case_runs(self):
         assert c_via_compositions(1, 5, cap=None).values == c_via_series(1, 5).values
 

@@ -12,7 +12,6 @@ from hgcauchy.combinat import (
     weak_compositions,
 )
 from hgcauchy.higher import weight_D
-from hgcauchy.rational import format_rational, parse_rational
 from oracles import (
     naive_composition_sum,
     naive_weak_composition_sum,
@@ -106,9 +105,3 @@ def test_multinomial_values():
     assert multinomial((1, 1)) == 2
     assert multinomial((2, 1, 1)) == 12
 
-
-def test_rational_round_trip():
-    for value in (F(0), F(1, 2), F(-19, 720), F(7)):
-        assert parse_rational(format_rational(value)) == value
-    assert format_rational(F(-1, 12)) == "-1/12"
-    assert parse_rational(" 3/4 ") == F(3, 4)

@@ -11,10 +11,17 @@ from hgcauchy.hessenberg import (
     determinant_inversion_roundtrip,
     enumerate_partition_multiplicities,
     hessenberg_det,
+    trudi_sequence,
     trudi_sum,
     unit_lower_toeplitz_inverse,
 )
-from oracles import dense_determinant, partition_count, random_coefficients
+from oracles import (
+    dense_determinant,
+    naive_trudi_sum,
+    partition_count,
+    random_coefficients,
+    random_fraction,
+)
 
 SEED = 1729
 
@@ -73,6 +80,35 @@ class TestTrudi:
             n = rng.randint(0, 9)
             spec = random_spec(rng, n) if n else HessenbergSpec(F(1), ())
             assert trudi_sum(spec) == hessenberg_det(spec)
+
+
+    def test_sequence_equals_naive_sum_for_every_prefix(self):
+        rng = random.Random(SEED + 4)
+        for super_entry in (F(0), F(1), F(-3, 2), F(7)):
+            for _ in range(25):
+                n = rng.randint(0, 10)
+                # about a quarter of the entries are zero
+                band = [
+                    F(0) if rng.random() < 0.25 else random_fraction(rng)
+                    for _ in range(n)
+                ]
+                seq = trudi_sequence(super_entry, band)
+                assert len(seq) == n + 1
+                for m in range(n + 1):
+                    spec = HessenbergSpec(super_entry, tuple(band[:m]))
+                    assert seq[m] == naive_trudi_sum(spec)
+
+    def test_empty_band(self):
+        for super_entry in (F(0), F(1), F(-3, 2), F(7)):
+            assert trudi_sequence(super_entry, []) == [1]
+            assert trudi_sum(HessenbergSpec(super_entry, ())) == 1
+
+    def test_cap_checked_on_band_length(self):
+        band = [F(1, k + 1) for k in range(PARTITION_CAP + 1)]
+        with pytest.raises(CapExceeded):
+            trudi_sequence(F(1), band)
+        uncapped = trudi_sequence(F(1), band, cap=None)
+        assert uncapped == determinant_sequence(F(1), band)
 
 
 class TestPartitionEnumeration:

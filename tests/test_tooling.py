@@ -3,7 +3,8 @@
 The benchmark replays CLI argv lines against the stdout digests in
 ``bench/golden.json`` and traces the functions named in ``bench/tracer.py``;
 both break silently if the package drifts, so both are checked here in
-tier 1. ``golden.json`` is only read, never re-recorded.
+tier 1: the ``verify`` lines and the Trudi lines at and below the partition
+cap. ``golden.json`` is only read, never re-recorded.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from hgcauchy import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 VERIFY_LINES = sorted(line for line in GOLDEN if line.startswith("verify "))
+TRUDI_LINES = sorted(line for line in GOLDEN if line.endswith("--method trudi"))
 
 
 def test_golden_file_holds_the_verify_lines():
@@ -28,14 +30,28 @@ def test_golden_file_holds_the_verify_lines():
     assert len(VERIFY_LINES) == 4
 
 
-@pytest.mark.parametrize("line", VERIFY_LINES)
-def test_verify_stdout_matches_golden_digest(line):
+def _stdout_digest(line):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(line.split())
     assert code == 0
-    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    assert digest == GOLDEN[line]
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("line", VERIFY_LINES)
+def test_verify_stdout_matches_golden_digest(line):
+    assert _stdout_digest(line) == GOLDEN[line]
+
+
+def test_golden_file_holds_the_trudi_lines():
+    # N = 4 .. 8, r = 1 and 2, n = 8 and the partition cap 24
+    assert len(TRUDI_LINES) == 20
+    assert "compute --N 8 --r 2 --n-max 24 --method trudi" in TRUDI_LINES
+
+
+@pytest.mark.parametrize("line", TRUDI_LINES)
+def test_trudi_stdout_matches_golden_digest(line):
+    assert _stdout_digest(line) == GOLDEN[line]
 
 
 def _load_tracer():

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgcauchy import verify
+from hgcauchy import cauchy, verify
 from hgcauchy.report import VerificationReport, erratum, failed, passed
 from hgcauchy.verify import (
     core_suite,
@@ -12,6 +12,7 @@ from hgcauchy.verify import (
     run_suites,
     series_rules_suite,
 )
+from oracles import naive_product_rule_rhs
 
 
 class TestReportType:
@@ -140,3 +141,49 @@ class TestWeightedSweepSensitivity:
         assert verify._quotient_rule_weighted_sweep(200, 1729).status == "pass"
         monkeypatch.setattr(verify, "weak_composition_sum", off_by_one_at_the_end)
         assert verify._quotient_rule_weighted_sweep(200, 1729).status == "fail"
+
+
+class TestProductRuleWalk:
+    @pytest.mark.parametrize("seed", [1729, 1, 2, 3, 99])
+    def test_walk_equals_naive_rhs_on_every_sweep_instance(self, monkeypatch, seed):
+        walk = verify._product_rule_rhs
+        calls = []
+
+        def checked(factors, n):
+            rhs = walk(factors, n)
+            assert rhs == naive_product_rule_rhs(factors, n)
+            calls.append(n)
+            return rhs
+
+        monkeypatch.setattr(verify, "_product_rule_rhs", checked)
+        assert verify._product_rule_sweep(200, seed).status == "pass"
+        assert len(calls) == 200
+
+    def test_walk_wrong_in_its_last_coefficient_fails_the_sweep(self, monkeypatch):
+        walk = verify._product_rule_rhs
+
+        def off_by_one_at_the_end(factors, n):
+            coefficients = list(walk(factors, n).coefficients)
+            coefficients[-1] += 1
+            return verify.TruncatedSeries(tuple(coefficients))
+
+        assert verify._product_rule_sweep(200, 1729).status == "pass"
+        monkeypatch.setattr(verify, "_product_rule_rhs", off_by_one_at_the_end)
+        assert verify._product_rule_sweep(200, 1729).status == "fail"
+
+
+class TestTrudiWalkSensitivity:
+    def test_walk_wrong_at_its_last_n_fails_method_agreement(self, monkeypatch):
+        walk = cauchy.trudi_sequence
+
+        def off_by_one_at_the_end(super_entry, band, cap):
+            dets = walk(super_entry, band, cap)
+            dets[-1] += 1
+            return dets
+
+        def agreement(records):
+            return [r.status for r in records if r.identity == "core/method-agreement"]
+
+        assert set(agreement(core_suite(N_max=2, n_max=8))) == {"pass"}
+        monkeypatch.setattr(cauchy, "trudi_sequence", off_by_one_at_the_end)
+        assert agreement(core_suite(N_max=2, n_max=8)) == ["fail", "fail"]
