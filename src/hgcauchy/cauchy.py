@@ -199,8 +199,9 @@ def c_via_compositions(
 
 def _trudi_values(band: list[Fraction], cap: int | None) -> tuple[Fraction, ...]:
     """n! times the Trudi expansion of the determinant over band[:n], for
-    n = 0 .. len(band): one :func:`~hgcauchy.hessenberg.trudi_sequence` walk
-    for the whole table, shared by the first-order and order-r routes."""
+    n = 0 .. len(band): one :func:`~hgcauchy.hessenberg.trudi_sum` walk per n
+    (:func:`~hgcauchy.hessenberg.trudi_sequence`), shared by the first-order
+    and order-r routes."""
     dets = trudi_sequence(Fraction(1), band, cap)
     return tuple(factorial(n) * d for n, d in enumerate(dets))
 
@@ -214,7 +215,7 @@ def c_via_trudi(
                   multinomial(t) (-1)^(n - sum t) prod (N/(N+k))^(t_k).
 
     Every multiplicity vector of every n <= n_max is visited once, by one
-    walk (:func:`~hgcauchy.hessenberg.trudi_sequence`) that shares prefix
+    walk per n (:func:`~hgcauchy.hessenberg.trudi_sum`) that shares prefix
     products in integers; the cap is checked before any work.
     """
     _check_parameters(N, n_max)

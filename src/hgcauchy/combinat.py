@@ -4,7 +4,7 @@ Every exponential product sum over compositions of numbers is a call to one
 of two walks, :func:`composition_sum` over strict compositions and
 :func:`weak_composition_sum` over weak compositions. Two walks of the same
 kind live next to the objects they sum: the partition-multiset (Trudi)
-expansion, :func:`~hgcauchy.hessenberg.trudi_sequence`, and the
+expansion, :func:`~hgcauchy.hessenberg.trudi_sum`, and the
 derivative product rule over weak compositions of series-valued factors,
 ``verify._product_rule_rhs``. The generators
 :func:`strict_compositions` and :func:`weak_compositions` yield the same

@@ -10,11 +10,11 @@ Expanding along the last column gives the division-free recurrence
 so each d_k is the determinant of the leading k x k matrix, and the whole
 sequence is one triangular Toeplitz solve (:func:`determinant_sequence`). The
 same values have a closed combinatorial expansion over partition multisets
-(Trudi's formula), :func:`trudi_sequence`: one depth-first walk over the
-partitions of every m <= n that shares its prefix products in integers and
-shares no arithmetic with the solve. For a_0 = 1, d covers band inversion of
-unit lower-triangular Toeplitz matrices. The routes are cross-checked in the
-verification suites.
+(Trudi's formula), :func:`trudi_sum`: one depth-first walk over the
+partitions of n that shares its prefix products in integers and shares no
+arithmetic with the solve; :func:`trudi_sequence` runs it for every leading
+spec. For a_0 = 1, d covers band inversion of unit lower-triangular Toeplitz
+matrices. The routes are cross-checked in the verification suites.
 """
 
 from __future__ import annotations
@@ -142,60 +142,64 @@ def enumerate_partition_multiplicities(
     return result
 
 
+def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction:
+    """Determinant of ``spec`` by the partition-multiset expansion (Trudi):
+
+        d_n = sum over (t_1..t_n) with sum k*t_k = n of
+              multinomial(t) * (-a_0)^(n - sum t) * prod a_k^(t_k).
+
+    One depth-first walk visits every multiplicity vector of n once, taking
+    the parts in ascending order with t copies of each, and carries three
+    running values: s = sum t, the integer multinomial (M <- M*s//t per
+    added copy) and the integer band product over D^s, D the lcm of the
+    band's denominators. One integer accumulator per s collects the terms;
+    (-a_0)^(n - s) is applied at the end and the sum becomes one Fraction.
+    Agrees with :func:`hessenberg_det`; exponential in n, hence the cap,
+    checked before any work.
+    """
+    n = spec.n
+    if cap is not None and n > cap:
+        raise CapExceeded("partition multiset enumeration", n, cap)
+    A, den = _scaled(list(spec.band))
+    acc = [0] * (n + 1)
+
+    def extend(first: int, rest: int, s: int, coeff: int, product: int) -> None:
+        # rest is still to be filled with parts >= first
+        for k in range(first, rest + 1):
+            sk, ck, pk = s, coeff, product
+            for t in range(1, rest // k + 1):
+                sk += 1
+                ck = ck * sk // t
+                pk *= A[k - 1]
+                left = rest - k * t
+                if left == 0:
+                    acc[sk] += ck * pk
+                elif left > k:
+                    extend(k + 1, left, sk, ck, pk)
+
+    if n == 0:
+        acc[0] = 1
+    extend(1, n, 0, 1, 1)
+    neg_super = -spec.super_entry
+    p, q = neg_super.numerator, neg_super.denominator
+    # sum_s acc[s] p^(n-s) / (q^(n-s) D^s), all over (q D)^n
+    num = sum(c * p ** (n - s) * q**s * den ** (n - s) for s, c in enumerate(acc))
+    return Fraction(num, (q * den) ** n)
+
+
 def trudi_sequence(
     super_entry: Fraction, band: Sequence[Fraction], cap: int | None = PARTITION_CAP
 ) -> list[Fraction]:
-    """[d_0, d_1, .., d_n] by the partition-multiset expansion (Trudi):
-
-        d_m = sum over (t_1..t_m) with sum k*t_k = m of
-              multinomial(t) * (-a_0)^(m - sum t) * prod a_k^(t_k).
-
-    One depth-first walk visits every multiplicity vector of every m <= n
-    once, taking the parts in ascending order with t copies of each, and
-    carries three running values: s = sum t, the integer multinomial
-    (M <- M*s//t per added copy) and the integer band product over D^s,
-    D the lcm of the band's denominators. One integer accumulator per
-    (m, s) collects the terms; (-a_0)^(m - s) is applied at the end and
-    each d_m becomes one Fraction. Agrees with :func:`determinant_sequence`;
-    exponential in n, hence the cap, checked before any work.
+    """[d_0, d_1, .., d_n] by the partition-multiset expansion: one
+    :func:`trudi_sum` walk per leading spec over ``band``. The counterpart of
+    :func:`determinant_sequence`; the cap is checked before any walk.
     """
     n = len(band)
     if cap is not None and n > cap:
         raise CapExceeded("partition multiset enumeration", n, cap)
-    A, den = _scaled([Fraction(b) for b in band])
-    acc = [[0] * (m + 1) for m in range(n + 1)]
-
-    def extend(first: int, m: int, s: int, coeff: int, product: int) -> None:
-        # coeff is the multinomial, product the band product over D^s
-        acc[m][s] += coeff * product
-        for k in range(first, n - m + 1):
-            mk, sk, ck, pk = m, s, coeff, product
-            for t in range(1, (n - m) // k + 1):
-                mk += k
-                sk += 1
-                ck = ck * sk // t
-                pk *= A[k - 1]
-                extend(k + 1, mk, sk, ck, pk)
-
-    extend(1, 0, 0, 1, 1)
-    neg_super = -Fraction(super_entry)
-    p, q = neg_super.numerator, neg_super.denominator
-    out = []
-    for m, row in enumerate(acc):
-        # sum_s row[s] p^(m-s) / (q^(m-s) D^s), all over (q D)^m
-        num = sum(
-            c * p ** (m - s) * q**s * den ** (m - s) for s, c in enumerate(row)
-        )
-        out.append(Fraction(num, (q * den) ** m))
-    return out
-
-
-def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction:
-    """Determinant of ``spec`` by the partition-multiset expansion, the last
-    entry of :func:`trudi_sequence`. Agrees with :func:`hessenberg_det`;
-    exponential in enumeration size, hence the cap.
-    """
-    return trudi_sequence(spec.super_entry, spec.band, cap)[-1]
+    return [
+        trudi_sum(HessenbergSpec(super_entry, band[:m]), cap) for m in range(n + 1)
+    ]
 
 
 def unit_lower_toeplitz_inverse(

@@ -81,7 +81,6 @@ class TestTrudi:
             spec = random_spec(rng, n) if n else HessenbergSpec(F(1), ())
             assert trudi_sum(spec) == hessenberg_det(spec)
 
-
     def test_sequence_equals_naive_sum_for_every_prefix(self):
         rng = random.Random(SEED + 4)
         for super_entry in (F(0), F(1), F(-3, 2), F(7)):

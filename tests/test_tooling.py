@@ -13,6 +13,8 @@ import importlib
 import importlib.util
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,26 @@ def test_every_tracer_target_resolves():
         if owner is None or vars(owner).get(attr) is None:
             missing.append(f"{module_name}.{qualname}")
     assert missing == []
+
+
+def test_trudi_time_is_traced_under_hessenberg():
+    # the published per-layer metric hessenberg.self_s sums the hessenberg
+    # targets, so the Trudi walks must run inside a traced hessenberg function
+    src = BENCH.parent / "src"
+    script = (
+        f"import json, sys; sys.path[:0] = [{str(src)!r}, {str(BENCH)!r}]\n"
+        "import hgcauchy.cli, tracer\n"
+        "t = tracer.Tracer(); t.install()\n"
+        "from hgcauchy import cauchy, higher\n"
+        "cauchy.c_via_trudi(3, 20); higher.chor_via_trudi(3, 2, 20)\n"
+        "print(json.dumps(t.report()))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    report = json.loads(out.stdout)
+    stats = report["metrics"]
+    assert report["missing"] == []
+    assert stats["hessenberg.trudi_sum.calls"] == 2 * 21
+    assert stats["hessenberg.trudi_sum.self_s"] > stats["cauchy.c_via_trudi.self_s"]
+    assert stats["hessenberg.trudi_sum.self_s"] > stats["higher.chor_via_trudi.self_s"]
