@@ -8,7 +8,7 @@ so N = 1 recovers the classical Cauchy numbers (x/log(1+x) expansion). The
 normalized values b_n = c(N, n)/n! are often the more convenient object; every
 table here can hand them back via :meth:`CauchyTable.normalized`.
 
-Five routes to the same table are implemented:
+Five first-order routes to the same table are implemented:
 
 ``series``        reciprocal of the truncated F_N (the reference oracle)
 ``recurrence``    bottom-up solution of the defining convolution identity
@@ -16,14 +16,20 @@ Five routes to the same table are implemented:
 ``compositions``  exhaustive signed sum over strict integer compositions
 ``trudi``         partition-multiset expansion of the same determinant
 
-The first three set the problem up differently but share one exact kernel,
-the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`, so
-their agreement checks the set-up of each route, not the solve itself.
-``compositions`` and ``trudi`` share no arithmetic with that kernel; they,
-together with the slow reference loops the tests and the benchmark keep, are
-the independent cross-checks. ``compositions`` and the order-r ``explicit``
-route are one walk, :func:`~hgcauchy.combinat.composition_sum`, over
-different weights; at r = 1 they are one route.
+With the order-r routes of :mod:`hgcauchy.higher` they make the seven
+:data:`METHODS`, and the route table :data:`hgcauchy.higher.ROUTES` holds how
+each runs, its cap and whether it takes r > 1. The seven run four
+computations, each written once below over bands d_0 .. d_n (N/(N+k) here,
+D_r(k) at order r) and scaled once by :meth:`CauchyTable.from_normalized`:
+the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`
+(``series``, ``recurrence``, ``determinant``; their agreement checks each
+set-up, not the solve), the composition walk (``compositions``,
+``explicit``), the Trudi walk (``trudi``) and, in ``higher``, the r-th power
+of the first-order series (``convolution``). The two walks share no
+arithmetic with the solve; with the slow reference loops of the tests and
+the benchmark they are the independent cross-checks. ``c_via_recurrence``,
+``c_via_determinant``, ``c_via_compositions`` and ``c_via_trudi`` stay public
+as one-line r = 1 entries.
 
 The classical validators at the end pin the machinery to well-known sequences
 (Bernoulli and Euler numbers as Hessenberg determinants).
@@ -35,6 +41,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Callable
 
 from .combinat import STRICT_COMPOSITION_CAP, composition_sum, multinomial
 from .errors import CapExceeded
@@ -45,7 +52,7 @@ from .hessenberg import (
     trudi_sequence,
 )
 from .report import VerificationReport, failed, passed
-from .series import TruncatedSeries, toeplitz_solve
+from .series import TruncatedSeries, _fraction, toeplitz_solve
 
 __all__ = [
     "CauchyTable",
@@ -62,7 +69,7 @@ __all__ = [
     "c_trudi_printed_variant",
 ]
 
-# every route name a table may carry, in the order the CLI lists them
+# every route name a table may carry, in CLI order; hgcauchy.higher.ROUTES runs them
 METHODS = (
     "series",
     "recurrence",
@@ -92,6 +99,11 @@ def _check_parameters(N: int, n_max: int, r: int = 1) -> None:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
 
 
+def _ratios(N: int, r: int, n_max: int) -> list[Fraction]:
+    """The first-order bands N/(N+k), k = 0 .. n_max; r is always 1."""
+    return [Fraction(N, N + k) for k in range(n_max + 1)]
+
+
 @dataclass(frozen=True)
 class CauchyTable:
     """Exact values c(N, n) for n = 0 .. n_max at order r.
@@ -108,7 +120,7 @@ class CauchyTable:
 
     def __post_init__(self):
         _check_parameters(self.N, self.n_max, self.r)
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(_fraction, self.values)))
         if len(self.values) != self.n_max + 1:
             raise ValueError("values must list n = 0 .. n_max")
         if self.values[0] != 1:
@@ -117,6 +129,12 @@ class CauchyTable:
             raise ValueError("index 1 must be r*N/(N+1)")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+
+    @classmethod
+    def from_normalized(cls, N: int, r: int, normalized, method: str) -> "CauchyTable":
+        """The table n! b_n of normalized values b_0 .. b_n; every route scales here."""
+        values = tuple(factorial(n) * b for n, b in enumerate(normalized))
+        return cls(N, r, len(values) - 1, values, method)
 
     def normalized(self) -> list[Fraction]:
         """b_n = c(N, n)/n! for n = 0 .. n_max."""
@@ -127,7 +145,7 @@ def hgc_generating_series(N: int, order: int) -> TruncatedSeries:
     """The truncated Gauss series F_N: coefficient j is (-1)^j N/(N+j)."""
     _check_parameters(N, order)
     return TruncatedSeries(
-        tuple(Fraction((-1) ** j * N, N + j) for j in range(order + 1))
+        tuple((-1) ** j * v for j, v in enumerate(_ratios(N, 1, order)))
     )
 
 
@@ -135,10 +153,55 @@ def c_via_series(N: int, n_max: int) -> CauchyTable:
     """Reference method: n! times the reciprocal coefficients of F_N."""
     _check_parameters(N, n_max)
     recip = hgc_generating_series(N, n_max).reciprocal()
-    values = tuple(
-        factorial(n) * recip.coefficient(n) for n in range(n_max + 1)
-    )
-    return CauchyTable(N, 1, n_max, values, "series")
+    return CauchyTable.from_normalized(N, 1, recip.coefficients, "series")
+
+
+# The four route computations, over bands(N, r, n_max) = [d_0 .. d_n_max].
+Bands = Callable[[int, int, int], list[Fraction]]
+
+
+def _recurrence_table(N: int, r: int, n_max: int, bands: Bands) -> CauchyTable:
+    """n! b_n with sum_{l=0..n} (-1)^l d_l b_(n-l) = 0 for n >= 1, b_0 = 1,
+    one triangular Toeplitz solve (:func:`~hgcauchy.series.toeplitz_solve`)."""
+    _check_parameters(N, n_max, r)
+    d = bands(N, r, n_max)
+    b = toeplitz_solve([(-1) ** l * v for l, v in enumerate(d)])
+    return CauchyTable.from_normalized(N, r, b, "recurrence")
+
+
+def _determinant_table(N: int, r: int, n_max: int, bands: Bands) -> CauchyTable:
+    """n! times the unit-superdiagonal Hessenberg determinants over d_1 .. d_n
+    (:func:`~hgcauchy.hessenberg.determinant_sequence`, the same solve)."""
+    _check_parameters(N, n_max, r)
+    dets = determinant_sequence(1, bands(N, r, n_max)[1:])
+    return CauchyTable.from_normalized(N, r, dets, "determinant")
+
+
+def _composition_table(
+    N: int, r: int, n_max: int, bands: Bands, cap: int | None, method: str
+) -> CauchyTable:
+    """n! sum over strict compositions (e_1, .., e_k) of n of
+    (-1)^(n-k) d_(e_1) .. d_(e_k), one walk over every n <= n_max
+    (:func:`~hgcauchy.combinat.composition_sum`)."""
+    _check_parameters(N, n_max, r)
+    if cap is not None and n_max > cap:
+        raise CapExceeded("strict composition enumeration", n_max, cap)
+    d = bands(N, r, n_max)
+    T = composition_sum([(-1) ** (e + 1) * v for e, v in enumerate(d)], n_max)
+    return CauchyTable.from_normalized(N, r, T, method)
+
+
+def _trudi_table(
+    N: int, r: int, n_max: int, bands: Bands, cap: int | None
+) -> CauchyTable:
+    """n! sum over multiplicity vectors t with sum k*t_k = n of
+    multinomial(t) (-1)^(n - sum t) prod d_k^(t_k), one walk per n
+    (:func:`~hgcauchy.hessenberg.trudi_sequence`)."""
+    _check_parameters(N, n_max, r)
+    if cap is not None and n_max > cap:
+        raise CapExceeded("partition multiset enumeration", n_max, cap)
+    dets = trudi_sequence(Fraction(1), bands(N, r, n_max)[1:], cap)
+    return CauchyTable.from_normalized(N, r, dets, "trudi")
 
 
 def c_via_recurrence(N: int, n_max: int) -> CauchyTable:
@@ -146,34 +209,13 @@ def c_via_recurrence(N: int, n_max: int) -> CauchyTable:
 
         sum_{i=0..n} (-1)^i c(N, i) / ((N + n - i) i!) = 0   for n >= 1,
 
-    solved for the i = n term. In the normalized values b_n = c(N, n)/n! it
-    reads
-
-        sum_{l=0..n} (-1)^l N/(N+l) b_(n-l) = 0   for n >= 1,   b_0 = 1,
-
-    a triangular Toeplitz system solved by the shared kernel
-    :func:`~hgcauchy.series.toeplitz_solve`; the table is n! b_n. The
-    ``series`` and ``determinant`` routes reach the same solve, so agreement
-    among these three checks their set-up, not the kernel.
-    """
-    _check_parameters(N, n_max)
-    b = toeplitz_solve([Fraction((-1) ** l * N, N + l) for l in range(n_max + 1)])
-    c = tuple(factorial(n) * b[n] for n in range(n_max + 1))
-    return CauchyTable(N, 1, n_max, c, "recurrence")
+    which in b_n = c(N, n)/n! is the band recurrence over N/(N+l)."""
+    return _recurrence_table(N, 1, n_max, _ratios)
 
 
 def c_via_determinant(N: int, n_max: int) -> CauchyTable:
-    """n! times the n x n unit-superdiagonal determinant over bands N/(N+k).
-
-    The determinants come from the band recurrence in
-    :func:`~hgcauchy.hessenberg.determinant_sequence`, which is the same
-    triangular Toeplitz solve the ``series`` and ``recurrence`` routes use.
-    """
-    _check_parameters(N, n_max)
-    band = [Fraction(N, N + k) for k in range(1, n_max + 1)]
-    dets = determinant_sequence(1, band)
-    values = tuple(factorial(n) * dets[n] for n in range(n_max + 1))
-    return CauchyTable(N, 1, n_max, values, "determinant")
+    """n! times the n x n unit-superdiagonal determinant over bands N/(N+k)."""
+    return _determinant_table(N, 1, n_max, _ratios)
 
 
 def c_via_compositions(
@@ -182,47 +224,16 @@ def c_via_compositions(
     """Exhaustive signed sum over strict compositions:
 
         c(N, n) = (-1)^n n! sum over compositions (i_1, .., i_k) of n
-                  of (-N)^k / prod (N + i_j),
-
-    that is n! times the composition sum of the weights (-1)^(e-1) N/(N+e).
-    Every composition is visited once (2^(n-1) per n) by the one shared walk
-    :func:`~hgcauchy.combinat.composition_sum`.
+                  of (-N)^k / prod (N + i_j).
     """
-    _check_parameters(N, n_max)
-    if cap is not None and n_max > cap:
-        raise CapExceeded("strict composition enumeration", n_max, cap)
-    w = [0] + [Fraction((-1) ** (e - 1) * N, N + e) for e in range(1, n_max + 1)]
-    T = composition_sum(w, n_max)
-    values = tuple(factorial(n) * T[n] for n in range(n_max + 1))
-    return CauchyTable(N, 1, n_max, values, "compositions")
-
-
-def _trudi_values(band: list[Fraction], cap: int | None) -> tuple[Fraction, ...]:
-    """n! times the Trudi expansion of the determinant over band[:n], for
-    n = 0 .. len(band): one :func:`~hgcauchy.hessenberg.trudi_sum` walk per n
-    (:func:`~hgcauchy.hessenberg.trudi_sequence`), shared by the first-order
-    and order-r routes."""
-    dets = trudi_sequence(Fraction(1), band, cap)
-    return tuple(factorial(n) * d for n, d in enumerate(dets))
+    return _composition_table(N, 1, n_max, _ratios, cap, "compositions")
 
 
 def c_via_trudi(
     N: int, n_max: int, cap: int | None = PARTITION_CAP
 ) -> CauchyTable:
-    """Partition-multiset expansion of the determinant route:
-
-        c(N, n) = n! sum over multiplicity vectors (t_1..t_n) of
-                  multinomial(t) (-1)^(n - sum t) prod (N/(N+k))^(t_k).
-
-    Every multiplicity vector of every n <= n_max is visited once, by one
-    walk per n (:func:`~hgcauchy.hessenberg.trudi_sum`) that shares prefix
-    products in integers; the cap is checked before any work.
-    """
-    _check_parameters(N, n_max)
-    if cap is not None and n_max > cap:
-        raise CapExceeded("partition multiset enumeration", n_max, cap)
-    band = [Fraction(N, N + k) for k in range(1, n_max + 1)]
-    return CauchyTable(N, 1, n_max, _trudi_values(band, cap), "trudi")
+    """Partition-multiset expansion of the determinant over bands N/(N+k)."""
+    return _trudi_table(N, 1, n_max, _ratios, cap)
 
 
 def c_trudi_printed_variant(

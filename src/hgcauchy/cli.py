@@ -5,6 +5,9 @@ identity suites, ``invert`` walks a determinant round trip. All output is a
 pure function of the flags, so repeated runs are byte-identical, and exact
 values appear as "p/q" strings, never floats.
 
+``compute --method`` runs a route of :data:`hgcauchy.higher.ROUTES`, which
+also gives its safety cap and whether it takes ``--r`` above 1.
+
 Exit codes: 0 success, 1 failed identity or round trip, 2 invalid flags,
 3 safety cap exceeded.
 """
@@ -16,7 +19,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cauchy, higher
+from . import higher
 from .combinat import STRICT_COMPOSITION_CAP
 from .errors import CapExceeded
 from .hessenberg import PARTITION_CAP, determinant_sequence, unit_lower_toeplitz_inverse
@@ -25,22 +28,6 @@ from .report import VerificationReport
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "build_parser"]
-
-# method -> (N, r, n_max, comp_cap, part_cap) -> CauchyTable; at r = 1 the
-# order-r routes return the first-order table. Routes are looked up at call
-# time, so a function rebound on its module is the one that runs.
-_ROUTES = {
-    "series": lambda N, r, n, cc, pc: cauchy.c_via_series(N, n),
-    "recurrence": lambda N, r, n, cc, pc: higher.chor_via_recurrence(N, r, n),
-    "determinant": lambda N, r, n, cc, pc: higher.chor_via_determinant(N, r, n),
-    "compositions": lambda N, r, n, cc, pc: cauchy.c_via_compositions(N, n, cap=cc),
-    "trudi": lambda N, r, n, cc, pc: higher.chor_via_trudi(N, r, n, cap=pc),
-    "explicit": lambda N, r, n, cc, pc: higher.chor_via_explicit(N, r, n, cap=cc),
-    "convolution": lambda N, r, n, cc, pc: higher.chor_via_convolution(N, r, n),
-}
-# routes over the first-order bands only
-_FIRST_ORDER_ONLY = ("series", "compositions")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -60,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--r", type=int, default=1, help="order r >= 1 (default 1)")
     p_compute.add_argument(
         "--method",
-        choices=cauchy.METHODS,
+        choices=tuple(higher.ROUTES),
         default="recurrence",
         help="computation route (default recurrence)",
     )
@@ -138,17 +125,17 @@ def cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         parser.error("--n-max must be non-negative")
     if args.r < 1:
         parser.error("--r must be at least 1")
-    if args.r > 1 and args.method in _FIRST_ORDER_ONLY:
+    route = higher.ROUTES[args.method]
+    if args.r > 1 and not route.any_order:
+        *others, last = (m for m, rt in higher.ROUTES.items() if rt.any_order)
         parser.error(
             f"--method {args.method} supports --r 1 only; "
-            "use recurrence, determinant, trudi, explicit, or convolution"
+            f"use {', '.join(others)}, or {last}"
         )
     _warn_unsafe(args)
-    comp_cap = None if args.unsafe_caps else STRICT_COMPOSITION_CAP
-    part_cap = None if args.unsafe_caps else PARTITION_CAP
 
     N, r, n_max = args.N, args.r, args.n_max
-    table = _ROUTES[args.method](N, r, n_max, comp_cap, part_cap)
+    table = route.compute(N, r, n_max, None if args.unsafe_caps else route.cap)
 
     values = table.normalized() if args.normalized else list(table.values)
     if args.format == "csv":

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 from .errors import CapExceeded
 from .report import VerificationReport, failed, passed
-from .series import _scaled, toeplitz_solve
+from .series import _fraction, _scaled, toeplitz_solve
 
 __all__ = [
     "PARTITION_CAP",
@@ -53,8 +53,8 @@ class HessenbergSpec:
     band: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "super_entry", Fraction(self.super_entry))
-        object.__setattr__(self, "band", tuple(Fraction(b) for b in self.band))
+        object.__setattr__(self, "super_entry", _fraction(self.super_entry))
+        object.__setattr__(self, "band", tuple(map(_fraction, self.band)))
 
     @property
     def n(self) -> int:

@@ -8,36 +8,44 @@ is the weight
              of N^r / ((N+i_1) .. (N+i_r)),
 
 the e-th coefficient of (sum_j N/(N+j) x^j)^r, so F_N(x)^r has coefficients
-(-1)^e D_r(e). The five table routes below mirror the first-order ones, with
-D_r(k) replacing N/(N+k) wherever bands or composition weights appear; at
-r = 1 each one returns the first-order table. The ``recurrence`` and
-``determinant`` routes share one triangular Toeplitz solve
-(:func:`~hgcauchy.series.toeplitz_solve`). ``explicit`` and ``trudi``
-enumerate and share no arithmetic with that kernel; they are the independent
-cross-checks. ``explicit`` runs the first-order ``compositions`` walk
-(:func:`~hgcauchy.combinat.composition_sum`) over the weights
-(-1)^(e-1) D_r(e), so at r = 1 it is the compositions route. The
-``convolution`` route raises the first-order table to the r-th power and
-never touches the weights, so it checks (1/F_N)^r against the solve of F_N^r
-the other way round.
+(-1)^e D_r(e). Four of the five order-r routes below are one-line entries
+over the computations of :mod:`hgcauchy.cauchy`, passing the bands D_r(k)
+where the first-order entries pass N/(N+k), so at r = 1 each returns the
+first-order table: ``recurrence`` and ``determinant`` reach the Toeplitz
+solve, ``explicit`` the composition walk (at r = 1 the ``compositions``
+route) and ``trudi`` the Trudi walk. ``convolution`` raises the first-order
+table to the r-th power and never touches the weights, so it checks
+(1/F_N)^r against the solve of F_N^r the other way round. :data:`ROUTES`,
+the one table of the seven ``--method`` names, lives here, in the one module
+that imports both route families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
+from typing import Callable, NamedTuple
 
-from .cauchy import CauchyTable, c_via_series, _check_parameters, _trudi_values
-from .combinat import STRICT_COMPOSITION_CAP, composition_sum, weak_composition_sum
-from .errors import CapExceeded
+from .cauchy import (
+    CauchyTable,
+    _check_parameters,
+    _composition_table,
+    _determinant_table,
+    _ratios,
+    _recurrence_table,
+    _trudi_table,
+    c_via_compositions,
+    c_via_series,
+)
+from .combinat import STRICT_COMPOSITION_CAP, weak_composition_sum
 from .hessenberg import (
     PARTITION_CAP,
     determinant_sequence,
     unit_lower_toeplitz_inverse,
 )
 from .report import VerificationReport, failed, passed
-from .series import TruncatedSeries, toeplitz_solve
+from .series import TruncatedSeries, _fraction
 
 __all__ = [
     "WeightTable",
@@ -52,6 +60,7 @@ __all__ = [
     "chor_via_trudi",
     "chor_via_convolution",
     "D_inversion",
+    "ROUTES",
 ]
 
 
@@ -66,7 +75,7 @@ class WeightTable:
 
     def __post_init__(self):
         _check_parameters(self.N, self.e_max, self.r)
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(_fraction, self.values)))
         if len(self.values) != self.e_max + 1:
             raise ValueError("values must list e = 0 .. e_max")
         if self.values[0] != 1:
@@ -81,8 +90,7 @@ class WeightTable:
 def weight_D(N: int, r: int, e_max: int) -> WeightTable:
     """Weights via the r-fold self-convolution of the ratio sequence N/(N+j)."""
     _check_parameters(N, e_max, r)
-    ratio = TruncatedSeries(tuple(Fraction(N, N + j) for j in range(e_max + 1)))
-    powered = ratio.power(r)
+    powered = TruncatedSeries(tuple(_ratios(N, 1, e_max))).power(r)
     return WeightTable(N, r, e_max, powered.coefficients)
 
 
@@ -174,6 +182,7 @@ def chor_closed_form(N: int, r: int, n: int) -> Fraction:
 
 
 def _weights(N: int, r: int, n_max: int) -> list[Fraction]:
+    """The order-r bands D_r(k), k = 0 .. n_max."""
     return list(weight_D(N, r, n_max).values)
 
 
@@ -182,28 +191,13 @@ def chor_via_recurrence(N: int, r: int, n_max: int) -> CauchyTable:
 
         b_n = sum_{l=1..n} (-1)^(l-1) D_r(l) b_(n-l),    b_0 = 1,
 
-    with c^(r)(N, n) = n! b_n, solved by the shared kernel
-    :func:`~hgcauchy.series.toeplitz_solve`. At r = 1 this is the
-    first-order recurrence in its normalized form. The ``determinant`` route
-    reaches the same solve through the band recurrence.
-    """
-    _check_parameters(N, n_max, r)
-    d = _weights(N, r, n_max)
-    b = toeplitz_solve([(-1) ** l * d[l] for l in range(n_max + 1)])
-    values = tuple(factorial(n) * b[n] for n in range(n_max + 1))
-    return CauchyTable(N, r, n_max, values, "recurrence")
+    with c^(r)(N, n) = n! b_n."""
+    return _recurrence_table(N, r, n_max, _weights)
 
 
 def chor_via_determinant(N: int, r: int, n_max: int) -> CauchyTable:
-    """n! times the unit-superdiagonal Hessenberg determinant over weight
-    bands D_r(1) .. D_r(n), by the band recurrence of
-    :func:`~hgcauchy.hessenberg.determinant_sequence`, the same triangular
-    Toeplitz solve as the ``recurrence`` route."""
-    _check_parameters(N, n_max, r)
-    d = _weights(N, r, n_max)
-    dets = determinant_sequence(1, d[1:])
-    values = tuple(factorial(n) * dets[n] for n in range(n_max + 1))
-    return CauchyTable(N, r, n_max, values, "determinant")
+    """n! times the Hessenberg determinant over weight bands D_r(1) .. D_r(n)."""
+    return _determinant_table(N, r, n_max, _weights)
 
 
 def chor_via_explicit(
@@ -213,31 +207,16 @@ def chor_via_explicit(
 
         c^(r)(N, n) = n! sum_{k=1..n} (-1)^(n-k)
                       sum over compositions (e_1, .., e_k) of n
-                      of D_r(e_1) .. D_r(e_k),
-
-    that is n! times the composition sum of the weights (-1)^(e-1) D_r(e),
-    walked once over all n <= n_max by
-    :func:`~hgcauchy.combinat.composition_sum`.
+                      of D_r(e_1) .. D_r(e_k).
     """
-    _check_parameters(N, n_max, r)
-    if cap is not None and n_max > cap:
-        raise CapExceeded("strict composition enumeration", n_max, cap)
-    d = _weights(N, r, n_max)
-    w = [0] + [(-1) ** (e - 1) * d[e] for e in range(1, n_max + 1)]
-    T = composition_sum(w, n_max)
-    values = tuple(factorial(n) * T[n] for n in range(n_max + 1))
-    return CauchyTable(N, r, n_max, values, "explicit")
+    return _composition_table(N, r, n_max, _weights, cap, "explicit")
 
 
 def chor_via_trudi(
     N: int, r: int, n_max: int, cap: int | None = PARTITION_CAP
 ) -> CauchyTable:
     """Partition-multiset expansion of the weight-band determinant."""
-    _check_parameters(N, n_max, r)
-    if cap is not None and n_max > cap:
-        raise CapExceeded("partition multiset enumeration", n_max, cap)
-    d = _weights(N, r, n_max)
-    return CauchyTable(N, r, n_max, _trudi_values(d[1:], cap), "trudi")
+    return _trudi_table(N, r, n_max, _weights, cap)
 
 
 def chor_via_convolution(N: int, r: int, n_max: int) -> CauchyTable:
@@ -250,12 +229,34 @@ def chor_via_convolution(N: int, r: int, n_max: int) -> CauchyTable:
     touches the weights D_r, so it cross-checks the other four routes.
     """
     _check_parameters(N, n_max, r)
-    base = TruncatedSeries(tuple(c_via_series(N, n_max).normalized()))
-    powered = base.power(r)
-    values = tuple(
-        factorial(n) * powered.coefficient(n) for n in range(n_max + 1)
-    )
-    return CauchyTable(N, r, n_max, values, "convolution")
+    powered = TruncatedSeries(tuple(c_via_series(N, n_max).normalized())).power(r)
+    return CauchyTable.from_normalized(N, r, powered.coefficients, "convolution")
+
+
+class Route(NamedTuple):
+    """One ``--method``: its route, its safety cap, whether it takes r > 1."""
+
+    compute: Callable[[int, int, int, int | None], CauchyTable]
+    cap: int | None
+    any_order: bool
+
+
+# method -> Route in the order of cauchy.METHODS. A route is called as
+# (N, r, n_max, cap) and looks its function up by module-level name when
+# called, so a function rebound on its module is the one that runs.
+ROUTES = {
+    "series": Route(lambda N, r, n, c: c_via_series(N, n), None, False),
+    "recurrence": Route(lambda N, r, n, c: chor_via_recurrence(N, r, n), None, True),
+    "determinant": Route(lambda N, r, n, c: chor_via_determinant(N, r, n), None, True),
+    "compositions": Route(
+        lambda N, r, n, c: c_via_compositions(N, n, c), STRICT_COMPOSITION_CAP, False
+    ),
+    "trudi": Route(lambda N, r, n, c: chor_via_trudi(N, r, n, c), PARTITION_CAP, True),
+    "explicit": Route(
+        lambda N, r, n, c: chor_via_explicit(N, r, n, c), STRICT_COMPOSITION_CAP, True
+    ),
+    "convolution": Route(lambda N, r, n, c: chor_via_convolution(N, r, n), None, True),
+}
 
 
 def D_inversion(N: int, r: int, n_max: int) -> VerificationReport:

@@ -46,7 +46,7 @@ class TruncatedSeries:
         if not self.coefficients:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
+            self, "coefficients", tuple(map(_fraction, self.coefficients))
         )
 
     @classmethod
@@ -144,6 +144,11 @@ class TruncatedSeries:
                 for m in range(n, self.order + 1)
             )
         )
+
+
+def _fraction(value) -> Fraction:
+    """``value`` if it is a Fraction already, else ``Fraction(value)``."""
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -18,12 +18,11 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 from operator import add, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import cauchy, higher, relations
-from .combinat import STRICT_COMPOSITION_CAP, composition_sum, weak_composition_sum
+from .combinat import composition_sum, weak_composition_sum
 from .hessenberg import (
-    PARTITION_CAP,
     determinant_sequence,
     determinant_inversion_roundtrip,
     unit_lower_toeplitz_inverse,
@@ -75,7 +74,7 @@ def _random_series(
 def _agreement(
     identity: str,
     reference: cauchy.CauchyTable,
-    others: Sequence[cauchy.CauchyTable],
+    others: Iterable[cauchy.CauchyTable],
 ) -> VerificationReport:
     """Prefix-compare every table against the reference; the enumeration
     methods may stop at their safety cap and so may be shorter."""
@@ -92,25 +91,32 @@ def _agreement(
     return passed(identity, point)
 
 
+def _route_tables(
+    N: int, r: int, n_max: int, capped: bool, order_r_only: bool
+) -> dict[str, cauchy.CauchyTable]:
+    """Each route's table at (N, r), or only the routes that take r > 1;
+    when capped, an enumeration route stops at its safety cap."""
+    tables = {}
+    for method, route in higher.ROUTES.items():
+        if order_r_only and not route.any_order:
+            continue
+        cap = route.cap if capped else None
+        top = n_max if cap is None else min(n_max, cap)
+        tables[method] = route.compute(N, r, top, cap)
+    return tables
+
+
 def core_suite(
     N_max: int = 4, r_max: int = 3, n_max: int = 12, capped: bool = True
 ) -> list[VerificationReport]:
-    """First-order identities: five-method agreement, the defining residual,
-    closed forms, classical specializations, and the printed-variant erratum."""
-    comp_cap = STRICT_COMPOSITION_CAP if capped else None
-    part_cap = PARTITION_CAP if capped else None
-    comp_top = min(n_max, STRICT_COMPOSITION_CAP) if capped else n_max
-    part_top = min(n_max, PARTITION_CAP) if capped else n_max
+    """First-order identities: every route at r = 1 against ``series``, the
+    defining residual, closed forms, classical specializations, and the
+    printed-variant erratum."""
     records = []
     for N in range(1, N_max + 1):
-        ref = cauchy.c_via_series(N, n_max)
-        others = [
-            cauchy.c_via_recurrence(N, n_max),
-            cauchy.c_via_determinant(N, n_max),
-            cauchy.c_via_compositions(N, comp_top, cap=comp_cap),
-            cauchy.c_via_trudi(N, part_top, cap=part_cap),
-        ]
-        records.append(_agreement("core/method-agreement", ref, others))
+        others = _route_tables(N, 1, n_max, capped, order_r_only=False)
+        ref = others.pop("series")
+        records.append(_agreement("core/method-agreement", ref, others.values()))
         records.append(_defining_residual(ref))
         records.append(_core_closed_forms(ref))
 
@@ -200,29 +206,16 @@ def _euler_record() -> VerificationReport:
 def higher_suite(
     N_max: int = 4, r_max: int = 3, n_max: int = 12, capped: bool = True
 ) -> list[VerificationReport]:
-    """Order-r identities: five-method agreement, the weak-composition
-    residual, weight cross-checks, closed forms, and the power-identity
-    example erratum."""
-    comp_cap = STRICT_COMPOSITION_CAP if capped else None
-    part_cap = PARTITION_CAP if capped else None
-    comp_top = min(n_max, STRICT_COMPOSITION_CAP) if capped else n_max
-    part_top = min(n_max, PARTITION_CAP) if capped else n_max
+    """Order-r identities: every order-r route against ``recurrence``, the
+    weak-composition residual, weight cross-checks, closed forms, and the
+    power-identity example erratum."""
     records = []
     for N in range(1, N_max + 1):
         for r in range(1, r_max + 1):
-            ref = higher.chor_via_recurrence(N, r, n_max)
-            others = [
-                higher.chor_via_determinant(N, r, n_max),
-                higher.chor_via_explicit(N, r, comp_top, cap=comp_cap),
-                higher.chor_via_trudi(N, r, part_top, cap=part_cap),
-                higher.chor_via_convolution(N, r, n_max),
-            ]
-            records.append(_agreement("higher/method-agreement", ref, others))
-            records.append(
-                _weak_composition_residual(
-                    higher.chor_via_convolution(N, r, n_max)
-                )
-            )
+            others = _route_tables(N, r, n_max, capped, order_r_only=True)
+            ref = others.pop("recurrence")
+            records.append(_agreement("higher/method-agreement", ref, others.values()))
+            records.append(_weak_composition_residual(others["convolution"]))
             records.append(_weight_enumeration(N, r, n_max))
             records.append(_weight_closed_forms(N, r))
             records.append(_order_closed_forms(ref))
@@ -346,8 +339,8 @@ def inversion_suite(
             records.append(_signed_inverse_bands(N, r, n_max))
 
     # the inverse-matrix display as printed claims bands R(k); the computed
-    # bands carry the alternating sign, first visible at k = 1
-    rule = [Fraction(1, k + 1) for k in range(1, n_max + 1)]
+    # bands carry the alternating sign, seen in the one band R(1) = 1/2
+    rule = [Fraction(1, 2)]
     alpha = determinant_sequence(1, rule)[1:]
     gamma = unit_lower_toeplitz_inverse(alpha)
     records.append(

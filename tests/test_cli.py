@@ -72,6 +72,17 @@ class TestCompute:
                     "--r", "2", "--method", "series")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("method", ["series", "compositions"])
+    def test_first_order_only_method_names_the_order_r_routes(self, capsys, method):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "compute", "--N", "1", "--n-max", "2",
+                    "--r", "2", "--method", method)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"hgcauchy: error: --method {method} supports --r 1 only; "
+            "use recurrence, determinant, trudi, explicit, or convolution\n"
+        )
+
     def test_invalid_n_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "compute", "--N", "0", "--n-max", "2")
@@ -119,6 +130,15 @@ class TestVerify:
         assert code == 0
         assert "fail" not in out.replace("0 fail", "")
         assert "[erratum-noted] inversion/unsigned-inverse-bands" in out
+
+    @pytest.mark.parametrize("suite", ["inversion", "all"])
+    def test_zero_n_max_keeps_the_inverse_band_erratum(self, capsys, suite):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--n-max", "0")
+        assert code == 0
+        assert (
+            "[erratum-noted] inversion/unsigned-inverse-bands (N=1, r=1, n=1): "
+            "printed 1/2, corrected -1/2\n"
+        ) in out
 
     def test_core_suite_exit_zero(self, capsys):
         code, out, _ = run_cli(

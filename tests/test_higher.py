@@ -3,9 +3,12 @@ from math import factorial
 
 import pytest
 
-from hgcauchy.cauchy import c_via_series
-from hgcauchy.combinat import weak_compositions
+from hgcauchy.cauchy import METHODS, c_via_series
+from hgcauchy.combinat import STRICT_COMPOSITION_CAP, weak_compositions
+from hgcauchy.errors import CapExceeded
+from hgcauchy.hessenberg import PARTITION_CAP
 from hgcauchy.higher import (
+    ROUTES,
     D_inversion,
     WeightTable,
     chor_closed_form,
@@ -19,7 +22,7 @@ from hgcauchy.higher import (
     weight_reference_form,
     weight_reference_mismatches,
 )
-from oracles import brute_weight
+from oracles import brute_weight, naive_product, naive_reciprocal
 
 HIGHER_METHODS = (
     chor_via_recurrence,
@@ -161,3 +164,45 @@ class TestInversion:
             for r in range(1, 4):
                 report = D_inversion(N, r, 10)
                 assert report.status == "pass", report
+
+
+def _oracle_table(N, r, n_max):
+    """n! times the reciprocal of F_N^r, F_N(x) = sum_j (-1)^j N/(N+j) x^j,
+    by term-by-term products and the textbook reciprocal."""
+    f = [F((-1) ** j * N, N + j) for j in range(n_max + 1)]
+    power = f
+    for _ in range(r - 1):
+        power = naive_product(power, f)
+    return tuple(factorial(n) * b for n, b in enumerate(naive_reciprocal(power)))
+
+
+class TestRouteTable:
+    def test_keys_are_the_methods(self):
+        assert tuple(ROUTES) == METHODS
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_route_equals_the_reciprocal_of_the_power(self, method):
+        route = ROUTES[method]
+        for r in (1, 2, 3) if route.any_order else (1,):
+            for N in (1, 2, 5):
+                table = route.compute(N, r, 10, route.cap)
+                assert (table.N, table.r, table.method) == (N, r, method)
+                assert table.values == _oracle_table(N, r, 10), (N, r)
+
+    def test_caps_are_the_enumeration_caps(self):
+        caps = {method: route.cap for method, route in ROUTES.items()}
+        assert caps == {
+            "series": None,
+            "recurrence": None,
+            "determinant": None,
+            "compositions": STRICT_COMPOSITION_CAP,
+            "trudi": PARTITION_CAP,
+            "explicit": STRICT_COMPOSITION_CAP,
+            "convolution": None,
+        }
+
+    @pytest.mark.parametrize("method", ["compositions", "trudi", "explicit"])
+    def test_route_refuses_past_its_cap(self, method):
+        route = ROUTES[method]
+        with pytest.raises(CapExceeded):
+            route.compute(2, 1, route.cap + 1, route.cap)

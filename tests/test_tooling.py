@@ -3,8 +3,9 @@
 The benchmark replays CLI argv lines against the stdout digests in
 ``bench/golden.json`` and traces the functions named in ``bench/tracer.py``;
 both break silently if the package drifts, so both are checked here in
-tier 1: the ``verify`` lines and the Trudi lines at and below the partition
-cap. ``golden.json`` is only read, never re-recorded.
+tier 1: the ``verify`` lines and every ``compute`` line except the five
+slowest (``compositions`` at n = 20). ``golden.json`` is only read, never
+re-recorded.
 """
 
 import contextlib
@@ -20,11 +21,20 @@ from pathlib import Path
 import pytest
 
 from hgcauchy import cli
+from hgcauchy.cauchy import METHODS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 VERIFY_LINES = sorted(line for line in GOLDEN if line.startswith("verify "))
 TRUDI_LINES = sorted(line for line in GOLDEN if line.endswith("--method trudi"))
+# every compute line but the five compositions tables at n = 20, which take
+# longer than all the others together
+SLOWEST = "--n-max 20 --method compositions"
+COMPUTE_LINES = sorted(
+    line
+    for line in GOLDEN
+    if line.startswith("compute ") and not line.endswith(SLOWEST)
+)
 
 
 def test_golden_file_holds_the_verify_lines():
@@ -54,6 +64,19 @@ def test_golden_file_holds_the_trudi_lines():
 @pytest.mark.parametrize("line", TRUDI_LINES)
 def test_trudi_stdout_matches_golden_digest(line):
     assert _stdout_digest(line) == GOLDEN[line]
+
+
+def test_golden_file_holds_every_method_in_the_compute_lines():
+    methods = {line.rpartition("--method ")[2] for line in COMPUTE_LINES}
+    assert methods == set(METHODS)
+    assert len(GOLDEN) - len(COMPUTE_LINES) == 4 + 16 + 5  # verify, invert, skipped
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_compute_stdout_matches_golden_digest(method):
+    lines = [line for line in COMPUTE_LINES if line.endswith(f"--method {method}")]
+    assert lines
+    assert [line for line in lines if _stdout_digest(line) != GOLDEN[line]] == []
 
 
 def _load_tracer():
@@ -98,3 +121,51 @@ def test_trudi_time_is_traced_under_hessenberg():
     assert stats["hessenberg.trudi_sum.calls"] == 2 * 21
     assert stats["hessenberg.trudi_sum.self_s"] > stats["cauchy.c_via_trudi.self_s"]
     assert stats["hessenberg.trudi_sum.self_s"] > stats["higher.chor_via_trudi.self_s"]
+
+
+def test_every_route_of_the_table_is_traced():
+    # the tracer rebinds module attributes only, so a route table that held
+    # the route functions themselves would run them unwrapped and the
+    # per-layer metrics would read 0
+    src = BENCH.parent / "src"
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path[:0] = [{str(src)!r}, {str(BENCH)!r}]\n"
+        "import hgcauchy.cli, tracer\n"
+        "t = tracer.Tracer(); t.install()\n"
+        "from hgcauchy import cli, verify\n"
+        "calls = lambda: {k: v for k, v in t.stats.items() if k.endswith('.calls')}\n"
+        "steps = {}\n"
+        "for method in cli.higher.ROUTES:\n"
+        "    before = calls()\n"
+        "    argv = ['compute', '--N', '3', '--n-max', '6', '--method', method]\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0\n"
+        "    steps[method] = [k for k, v in calls().items() if v > before[k]]\n"
+        "for suite in ('core', 'higher'):\n"
+        "    before = calls()\n"
+        "    verify.run_suites(suite)\n"
+        "    steps[suite] = [k for k, v in calls().items() if v > before[k]]\n"
+        "print(json.dumps({'steps': steps, 'missing': t.report()['missing']}))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    report = json.loads(out.stdout)
+    assert report["missing"] == []
+    steps = report["steps"]
+    traced = {
+        "series": "cauchy.c_via_series.calls",
+        "recurrence": "higher.chor_via_recurrence.calls",
+        "determinant": "higher.chor_via_determinant.calls",
+        "compositions": "cauchy.c_via_compositions.calls",
+        "trudi": "higher.chor_via_trudi.calls",
+        "explicit": "higher.chor_via_explicit.calls",
+        "convolution": "higher.chor_via_convolution.calls",
+    }
+    assert set(traced) == set(METHODS)
+    for method, counter in traced.items():
+        assert counter in steps[method], method
+        assert counter in steps["core"], method
+    for method in ("recurrence", "determinant", "trudi", "explicit", "convolution"):
+        assert traced[method] in steps["higher"], method
