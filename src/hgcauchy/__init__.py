@@ -12,130 +12,34 @@ routes, together with inversion round trips and classical specializations
 suites check.
 
 Everything is a stdlib Fraction; no floats anywhere.
+
+The package exports the ``__all__`` of each computation module (``cauchy``,
+``combinat``, ``errors``, ``hessenberg``, ``higher``, ``relations``,
+``series``), together with :class:`VerificationReport` and the suite runner
+:func:`run_suites` with its ``DEFAULT_SEED`` and ``SUITE_NAMES``. A new
+public name goes only into its module's ``__all__``.
 """
 
-from .cauchy import (
-    CauchyTable,
-    c_closed_form,
-    c_via_compositions,
-    c_via_determinant,
-    c_via_recurrence,
-    c_via_series,
-    c_via_trudi,
-    classical_bernoulli_det,
-    classical_euler_det,
-    hgc_generating_series,
-    ratio_inversion,
-)
-from .combinat import (
-    STRICT_COMPOSITION_CAP,
-    composition_sum,
-    multinomial,
-    strict_compositions,
-    weak_composition_sum,
-    weak_compositions,
-)
-from .errors import CapExceeded, OrderExceeded, ZeroConstantTerm
-from .hessenberg import (
-    HessenbergSpec,
-    PARTITION_CAP,
-    determinant_sequence,
-    determinant_inversion_roundtrip,
-    enumerate_partition_multiplicities,
-    hessenberg_det,
-    trudi_sequence,
-    trudi_sum,
-    unit_lower_toeplitz_inverse,
-)
-from .higher import (
-    WeightTable,
-    chor_closed_form,
-    chor_via_convolution,
-    chor_via_determinant,
-    chor_via_explicit,
-    chor_via_recurrence,
-    chor_via_trudi,
-    D_inversion,
-    weight_D,
-    weight_D_by_enumeration,
-    weight_reference_form,
-    weight_reference_mismatches,
-)
-from .relations import (
-    CHAIN_CAP,
-    ChainIndex,
-    chain_example_first,
-    chain_example_second,
-    chain_sum,
-    cross_order_step,
-    descending_chains,
-)
+from .cauchy import *
+from .combinat import *
+from .errors import *
+from .hessenberg import *
+from .higher import *
+from .relations import *
+from .series import *
 from .report import VerificationReport
-from .series import (
-    TruncatedSeries,
-    cameron_inverse,
-    cameron_transform,
-    log1p_series,
-)
 from .verify import DEFAULT_SEED, SUITE_NAMES, run_suites
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CauchyTable",
-    "CapExceeded",
-    "ChainIndex",
-    "CHAIN_CAP",
-    "DEFAULT_SEED",
-    "D_inversion",
-    "HessenbergSpec",
-    "OrderExceeded",
-    "PARTITION_CAP",
-    "STRICT_COMPOSITION_CAP",
-    "SUITE_NAMES",
-    "TruncatedSeries",
-    "VerificationReport",
-    "WeightTable",
-    "ZeroConstantTerm",
-    "c_closed_form",
-    "c_via_compositions",
-    "c_via_determinant",
-    "c_via_recurrence",
-    "c_via_series",
-    "c_via_trudi",
-    "cameron_inverse",
-    "cameron_transform",
-    "chain_example_first",
-    "chain_example_second",
-    "chain_sum",
-    "chor_closed_form",
-    "chor_via_convolution",
-    "chor_via_determinant",
-    "chor_via_explicit",
-    "chor_via_recurrence",
-    "chor_via_trudi",
-    "classical_bernoulli_det",
-    "classical_euler_det",
-    "composition_sum",
-    "cross_order_step",
-    "descending_chains",
-    "determinant_sequence",
-    "determinant_inversion_roundtrip",
-    "enumerate_partition_multiplicities",
-    "hgc_generating_series",
-    "hessenberg_det",
-    "log1p_series",
-    "multinomial",
-    "ratio_inversion",
-    "run_suites",
-    "strict_compositions",
-    "trudi_sequence",
-    "trudi_sum",
-    "unit_lower_toeplitz_inverse",
-    "weak_composition_sum",
-    "weak_compositions",
-    "weight_D",
-    "weight_D_by_enumeration",
-    "weight_reference_form",
-    "weight_reference_mismatches",
-]
+# importing a submodule binds its name here, as in asyncio's __init__
+__all__ = (
+    cauchy.__all__
+    + combinat.__all__
+    + errors.__all__
+    + hessenberg.__all__
+    + higher.__all__
+    + relations.__all__
+    + series.__all__
+    + ["VerificationReport", "DEFAULT_SEED", "SUITE_NAMES", "run_suites"]
+)

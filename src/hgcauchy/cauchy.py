@@ -37,21 +37,20 @@ The classical validators at the end pin the machinery to well-known sequences
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable
 
 from .combinat import STRICT_COMPOSITION_CAP, composition_sum, multinomial
-from .errors import CapExceeded
+from .errors import CapExceeded, _integer
 from .hessenberg import (
     PARTITION_CAP,
     determinant_sequence,
     enumerate_partition_multiplicities,
     trudi_sequence,
 )
-from .report import VerificationReport, failed, passed
+from .report import VerificationReport, check
 from .series import TruncatedSeries, _fraction, toeplitz_solve
 
 __all__ = [
@@ -83,14 +82,7 @@ METHODS = (
 
 def _check_parameters(N: int, n_max: int, r: int = 1) -> None:
     for name, value in (("N", N), ("n_max", n_max), ("r", r)):
-        if isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer, not bool")
-        try:
-            operator.index(value)
-        except TypeError:
-            raise TypeError(
-                f"{name} must be an integer, got {type(value).__name__} {value!r}"
-            ) from None
+        _integer(value, name)
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     if r < 1:
@@ -270,12 +262,11 @@ def ratio_inversion(N: int, n_max: int) -> VerificationReport:
     _check_parameters(N, n_max)
     bands = c_via_series(N, n_max).normalized()[1:]
     dets = determinant_sequence(1, bands)
-    identity = "inversion/ratio-recovery"
-    for n in range(1, n_max + 1):
-        expected = Fraction(N, N + n)
-        if dets[n] != expected:
-            return failed(identity, (N, 1, n), expected, dets[n])
-    return passed(identity, (N, 1, n_max))
+    return check(
+        "inversion/ratio-recovery",
+        (N, 1, n_max),
+        ((n, Fraction(N, N + n), dets[n]) for n in range(1, n_max + 1)),
+    )
 
 
 def c_closed_form(N: int, n: int) -> Fraction:
@@ -319,7 +310,7 @@ def c_closed_form(N: int, n: int) -> Fraction:
 def classical_bernoulli_det(n_max: int) -> list[Fraction]:
     """Bernoulli numbers B_0 .. B_n_max as signed Hessenberg determinants
     over factorial bands 1/(k+1)!; a fixed point for the determinant code."""
-    if n_max < 0:
+    if _integer(n_max, "n_max") < 0:
         raise ValueError("n_max must be non-negative")
     band = [Fraction(1, factorial(k + 1)) for k in range(1, n_max + 1)]
     dets = determinant_sequence(1, band)
@@ -329,7 +320,7 @@ def classical_bernoulli_det(n_max: int) -> list[Fraction]:
 def classical_euler_det(n_max: int) -> list[Fraction]:
     """Euler numbers E_0, E_2, .., E_(2 n_max) from even-factorial bands
     1/(2k)!; the secant-series convention (E_2 = -1, E_4 = 5)."""
-    if n_max < 0:
+    if _integer(n_max, "n_max") < 0:
         raise ValueError("n_max must be non-negative")
     band = [Fraction(1, factorial(2 * k)) for k in range(1, n_max + 1)]
     dets = determinant_sequence(1, band)

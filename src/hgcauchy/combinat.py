@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
 
+from .errors import _size
 from .series import _scaled
 
 __all__ = [
@@ -38,12 +39,16 @@ def strict_compositions(total: int) -> Iterator[tuple[int, ...]]:
 
     ``total == 0`` yields the empty tuple once.
     """
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in strict_compositions(total - first):
-            yield (first,) + rest
+
+    def walk(total: int) -> Iterator[tuple[int, ...]]:
+        if total == 0:
+            yield ()
+            return
+        for first in range(1, total + 1):
+            for rest in walk(total - first):
+                yield (first,) + rest
+
+    return walk(_size(total, "total"))
 
 
 def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
@@ -58,6 +63,7 @@ def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
     total t is an integer over D^t, and one accumulator per total becomes one
     Fraction at the end.
     """
+    t_max = _size(t_max, "t_max")
     U, den = _scaled(w[1 : t_max + 1])
     V = [0] + [u * den ** (e - 1) for e, u in enumerate(U, start=1)]
     acc = [1] + [0] * t_max
@@ -76,16 +82,20 @@ def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
 
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+
+    def walk(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in walk(total - first, parts - 1):
+                yield (first,) + rest
+
+    return walk(_size(total, "total"), _size(parts, "parts"))
 
 
 def weak_composition_sum(w: Sequence[Fraction], total: int, parts: int) -> list[Fraction]:
@@ -97,6 +107,7 @@ def weak_composition_sum(w: Sequence[Fraction], total: int, parts: int) -> list[
     integers: with D the lcm of the denominators of w[0 .. total], a prefix
     of k parts is an integer over D^k, and each k becomes one Fraction.
     """
+    total, parts = _size(total, "total"), _size(parts, "parts")
     V, den = _scaled(w[: total + 1])
     acc = [0] * (parts + 1)
 

@@ -1,6 +1,9 @@
-"""Exceptions shared across the exact-computation modules."""
+"""Exceptions shared across the exact-computation modules, and the one rule
+for integer arguments."""
 
 from __future__ import annotations
+
+import operator
 
 __all__ = ["ZeroConstantTerm", "OrderExceeded", "CapExceeded"]
 
@@ -29,3 +32,24 @@ class CapExceeded(ValueError):
         self.what = what
         self.requested = requested
         self.cap = cap
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: a bool or a value without ``__index__`` (a float,
+    a Fraction) raises TypeError naming the argument ``name``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        ) from None
+
+
+def _size(value, name: str) -> int:
+    """:func:`_integer`, and a negative ``value`` raises ValueError."""
+    value = _integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value

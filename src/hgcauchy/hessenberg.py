@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import CapExceeded
-from .report import VerificationReport, failed, passed
+from .errors import CapExceeded, _integer, _size
+from .report import VerificationReport, check
 from .series import _fraction, _scaled, toeplitz_solve
 
 __all__ = [
@@ -111,7 +111,7 @@ def enumerate_partition_multiplicities(
     Results are memoized per m while m stays within the cap; beyond the cap a
     :class:`CapExceeded` is raised unless ``cap=None``.
     """
-    if m < 0:
+    if _integer(m, "m") < 0:
         raise ValueError("m must be non-negative")
     if cap is not None and m > cap:
         raise CapExceeded("partition multiset enumeration", m, cap)
@@ -230,6 +230,7 @@ def determinant_inversion_roundtrip(
     determinant over bands alpha_1..alpha_n must return R(n). Checks every
     n <= n_max and reports the first failure with both exact values.
     """
+    n_max = _size(n_max, "n_max")
     if callable(rule):
         values = [Fraction(rule(k)) for k in range(1, n_max + 1)]
     else:
@@ -240,9 +241,4 @@ def determinant_inversion_roundtrip(
         point = (0, 0, n_max)
     alpha = determinant_sequence(1, values)[1:]
     recovered = determinant_sequence(1, alpha)[1:]
-    for n in range(1, n_max + 1):
-        if recovered[n - 1] != values[n - 1]:
-            return failed(
-                identity, (point[0], point[1], n), values[n - 1], recovered[n - 1]
-            )
-    return passed(identity, point)
+    return check(identity, point, zip(range(1, n_max + 1), values, recovered))

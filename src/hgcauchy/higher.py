@@ -39,12 +39,13 @@ from .cauchy import (
     c_via_series,
 )
 from .combinat import STRICT_COMPOSITION_CAP, weak_composition_sum
+from .errors import _integer
 from .hessenberg import (
     PARTITION_CAP,
     determinant_sequence,
     unit_lower_toeplitz_inverse,
 )
-from .report import VerificationReport, failed, passed
+from .report import VerificationReport, check, passed
 from .series import TruncatedSeries, _fraction
 
 __all__ = [
@@ -118,6 +119,7 @@ def weight_reference_form(
     ``corrected=True`` for the repaired variant. All other forms are exact.
     """
     _check_parameters(N, 1, r)
+    _integer(e, "e")
     n1, n2, n3, n4 = N + 1, N + 2, N + 3, N + 4
     if e == 1:
         return Fraction(r * N, n1)
@@ -157,6 +159,7 @@ def chor_closed_form(N: int, r: int, n: int) -> Fraction:
     """Closed forms of c^(r)(N, n) for n = 0 .. 4 as explicit rational
     expressions in N and r; cross-checked against every table route."""
     _check_parameters(N, 1, r)
+    _integer(n, "n")
     n1, n2, n3, n4 = N + 1, N + 2, N + 3, N + 4
     if n == 0:
         return Fraction(1)
@@ -271,22 +274,23 @@ def D_inversion(N: int, r: int, n_max: int) -> VerificationReport:
     Reports the first failing n, naming which half failed.
     """
     _check_parameters(N, n_max, r)
+    point = (N, r, n_max)
     d = _weights(N, r, n_max)
     b = chor_via_recurrence(N, r, n_max).normalized()[1:]
     dets = determinant_sequence(1, b)
-    for n in range(1, n_max + 1):
-        if dets[n] != d[n]:
-            return failed(
-                "inversion/weight-recovery/determinant", (N, r, n), d[n], dets[n]
-            )
     gamma = unit_lower_toeplitz_inverse(b)
-    for k in range(1, n_max + 1):
-        expected = (-1) ** k * d[k]
-        if gamma[k - 1] != expected:
-            return failed(
-                "inversion/weight-recovery/inverse-bands",
-                (N, r, k),
-                expected,
-                gamma[k - 1],
-            )
-    return passed("inversion/weight-recovery", (N, r, n_max))
+    for half in (
+        check(
+            "inversion/weight-recovery/determinant",
+            point,
+            ((n, d[n], dets[n]) for n in range(1, n_max + 1)),
+        ),
+        check(
+            "inversion/weight-recovery/inverse-bands",
+            point,
+            ((k, (-1) ** k * d[k], gamma[k - 1]) for k in range(1, n_max + 1)),
+        ),
+    ):
+        if not half.ok:
+            return half
+    return passed("inversion/weight-recovery", point)

@@ -32,8 +32,8 @@ from typing import Iterator
 
 from .cauchy import c_via_series
 from .combinat import composition_sum
-from .errors import CapExceeded
-from .report import VerificationReport, failed, passed
+from .errors import CapExceeded, _integer
+from .report import VerificationReport, check
 
 __all__ = [
     "CHAIN_CAP",
@@ -77,7 +77,7 @@ class ChainIndex:
 def descending_chains(n: int) -> Iterator[ChainIndex]:
     """All 2^n chains with head n: subsets of {0, .., n-1} in ascending size,
     lexicographic within each size, listed in decreasing order after the head."""
-    if n < 0:
+    if _integer(n, "n") < 0:
         raise ValueError("n must be non-negative")
     for m in range(n + 1):
         for subset in combinations(range(n), m):
@@ -97,15 +97,16 @@ def _tables(N: int, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
 def cross_order_step(N: int, n_max: int) -> VerificationReport:
     """Single-step identity down from N to N-1, checked for n = 0 .. n_max."""
     current, previous = _tables(N, n_max)
-    identity = "relations/cross-order-step"
-    for n in range(n_max + 1):
-        acc = Fraction(0)
-        for m in range(n):
-            acc += comb(n + 1, m) * current[m] * previous[n - m + 1]
-        rhs = previous[n] - Fraction(N, (n + 1) * (N - 1)) * acc
-        if current[n] != rhs:
-            return failed(identity, (N, 1, n), current[n], rhs)
-    return passed(identity, (N, 1, n_max))
+
+    def rhs(n: int) -> Fraction:
+        acc = sum(comb(n + 1, m) * current[m] * previous[n - m + 1] for m in range(n))
+        return previous[n] - Fraction(N, (n + 1) * (N - 1)) * acc
+
+    return check(
+        "relations/cross-order-step",
+        (N, 1, n_max),
+        ((n, current[n], rhs(n)) for n in range(n_max + 1)),
+    )
 
 
 def chain_term(
@@ -135,15 +136,17 @@ def chain_sum(
     if cap is not None and n_max > cap:
         raise CapExceeded("descending chain enumeration", n_max, cap)
     current, previous = _tables(N, n_max)
-    identity = "relations/descending-chain-expansion"
     b = [v / factorial(t) for t, v in enumerate(previous)]
     # gap g weighs N/(1-N) b[g+1], entry g of this list
     S = composition_sum([Fraction(N, 1 - N) * v for v in b[1:]], n_max)
-    for n in range(1, n_max + 1):
-        total = factorial(n) * sum(b[t] * S[n - t] for t in range(n + 1))
-        if current[n] != total:
-            return failed(identity, (N, 1, n), current[n], total)
-    return passed(identity, (N, 1, n_max))
+    return check(
+        "relations/descending-chain-expansion",
+        (N, 1, n_max),
+        (
+            (n, current[n], factorial(n) * sum(b[t] * S[n - t] for t in range(n + 1)))
+            for n in range(1, n_max + 1)
+        ),
+    )
 
 
 def chain_example_first(N: int) -> VerificationReport:
@@ -152,9 +155,7 @@ def chain_example_first(N: int) -> VerificationReport:
     current, previous = _tables(N, 1)
     rhs = previous[1] + Fraction(N, 1 - N) * previous[0] * previous[2] / 2
     identity = "relations/chain-example-first-order"
-    if current[1] != rhs:
-        return failed(identity, (N, 1, 1), current[1], rhs)
-    return passed(identity, (N, 1, 1))
+    return check(identity, (N, 1, 1), [(1, current[1], rhs)])
 
 
 def chain_example_second(N: int) -> VerificationReport:
@@ -169,6 +170,4 @@ def chain_example_second(N: int) -> VerificationReport:
         + factor**2 * previous[2] ** 2 / 2
     )
     identity = "relations/chain-example-second-order"
-    if current[2] != rhs:
-        return failed(identity, (N, 1, 2), current[2], rhs)
-    return passed(identity, (N, 1, 2))
+    return check(identity, (N, 1, 2), [(2, current[2], rhs)])

@@ -1,7 +1,11 @@
 """Structured outcome records for identity verification.
 
 Every checkable identity in this package reports through
-:class:`VerificationReport`. ``parameter_point`` is always an ``(N, r, n)``
+:class:`VerificationReport`, and :func:`check` is the one place where a
+check's comparisons become a record: the first mismatch fails at its index,
+otherwise the identity passes. The seeded random sweeps of ``verify``, whose
+fail records carry whole coefficient lists, are the only other callers of
+:func:`failed`. ``parameter_point`` is always an ``(N, r, n)``
 triple; checks that are not tied to a table point (the generic series-rule
 sweeps) use ``N = 0, r = 0`` with ``n`` carrying the truncation order or the
 instance count.
@@ -22,8 +26,9 @@ On an erratum-noted record the same slot reads (as printed, corrected), or
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
-__all__ = ["VerificationReport", "passed", "failed", "erratum"]
+__all__ = ["VerificationReport", "check", "passed", "failed", "erratum"]
 
 _STATUSES = ("pass", "fail", "erratum-noted")
 
@@ -60,6 +65,24 @@ def passed(identity: str, point: tuple[int, int, int]) -> VerificationReport:
 
 def failed(identity: str, point: tuple[int, int, int], expected, actual) -> VerificationReport:
     return VerificationReport(identity, point, "fail", (str(expected), str(actual)))
+
+
+def check(
+    identity: str,
+    point: tuple[int, int, int],
+    cases: Iterable[tuple[int, object, object]],
+) -> VerificationReport:
+    """The record of ``identity`` checked at every ``(n, expected, actual)``
+    of ``cases``, read in order and no further than the first mismatch.
+
+    That mismatch fails at (N, r, n), N and r taken from ``point``; with
+    none, the identity passes at ``point``.
+    """
+    N, r, _ = point
+    for n, expected, actual in cases:
+        if expected != actual:
+            return failed(identity, (N, r, n), expected, actual)
+    return passed(identity, point)
 
 
 def erratum(

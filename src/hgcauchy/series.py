@@ -26,7 +26,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import OrderExceeded, ZeroConstantTerm
+from .errors import OrderExceeded, ZeroConstantTerm, _integer
 
 __all__ = [
     "TruncatedSeries",
@@ -56,7 +56,7 @@ class TruncatedSeries:
         """Build a series, zero-padding or truncating to ``order`` if given."""
         coeffs = list(coefficients)
         if order is not None:
-            if order < 0:
+            if _integer(order, "order") < 0:
                 raise ValueError("order must be non-negative")
             coeffs = coeffs[: order + 1]
             coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
@@ -71,12 +71,12 @@ class TruncatedSeries:
         return len(self.coefficients) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
+        if not 0 <= _integer(k, "k") <= self.order:
             raise IndexError(f"coefficient {k} of a series of order {self.order}")
         return self.coefficients[k]
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
+        if _integer(order, "order") > self.order:
             raise OrderExceeded(
                 f"cannot extend a series of order {self.order} to order {order}"
             )
@@ -117,7 +117,7 @@ class TruncatedSeries:
 
     def power(self, exponent: int) -> "TruncatedSeries":
         """Repeated product; ``exponent`` must be a non-negative integer."""
-        if exponent < 0:
+        if _integer(exponent, "exponent") < 0:
             raise ValueError("negative powers go through reciprocal() explicitly")
         if exponent == 0:
             return TruncatedSeries.one(self.order)
@@ -132,7 +132,7 @@ class TruncatedSeries:
         The result order drops to ``order - n``; asking for ``n > order``
         raises :class:`OrderExceeded`.
         """
-        if n < 0:
+        if _integer(n, "n") < 0:
             raise ValueError("derivative order must be non-negative")
         if n > self.order:
             raise OrderExceeded(
@@ -208,7 +208,7 @@ def toeplitz_solve(a: Sequence[Fraction]) -> list[Fraction]:
 
 def log1p_series(order: int) -> TruncatedSeries:
     """log(1 + x) to the given order: x - x^2/2 + x^3/3 - ..."""
-    if order < 0:
+    if _integer(order, "order") < 0:
         raise ValueError("order must be non-negative")
     coeffs = [Fraction(0)]
     for k in range(1, order + 1):

@@ -27,7 +27,7 @@ from .hessenberg import (
     determinant_inversion_roundtrip,
     unit_lower_toeplitz_inverse,
 )
-from .report import VerificationReport, erratum, failed, passed
+from .report import VerificationReport, check, erratum, failed, passed
 from .series import (
     TruncatedSeries,
     _scaled,
@@ -78,17 +78,15 @@ def _agreement(
 ) -> VerificationReport:
     """Prefix-compare every table against the reference; the enumeration
     methods may stop at their safety cap and so may be shorter."""
-    point = (reference.N, reference.r, reference.n_max)
-    for other in others:
-        for n in range(min(reference.n_max, other.n_max) + 1):
-            if other.values[n] != reference.values[n]:
-                return failed(
-                    identity,
-                    (reference.N, reference.r, n),
-                    reference.values[n],
-                    other.values[n],
-                )
-    return passed(identity, point)
+    return check(
+        identity,
+        (reference.N, reference.r, reference.n_max),
+        (
+            (n, reference.values[n], other.values[n])
+            for other in others
+            for n in range(min(reference.n_max, other.n_max) + 1)
+        ),
+    )
 
 
 def _route_tables(
@@ -136,71 +134,73 @@ def core_suite(
 
 
 def _defining_residual(table: cauchy.CauchyTable) -> VerificationReport:
-    identity = "core/defining-recurrence-residual"
     N = table.N
-    for n in range(1, table.n_max + 1):
-        acc = Fraction(0)
-        for i in range(n + 1):
-            acc += (
-                (-1) ** i * table.values[i] / ((N + n - i) * factorial(i))
-            )
-        if acc != 0:
-            return failed(identity, (N, 1, n), Fraction(0), acc)
-    return passed(identity, (N, 1, table.n_max))
+
+    def residual(n: int) -> Fraction:
+        return sum(
+            (-1) ** i * table.values[i] / ((N + n - i) * factorial(i))
+            for i in range(n + 1)
+        )
+
+    return check(
+        "core/defining-recurrence-residual",
+        (N, 1, table.n_max),
+        ((n, Fraction(0), residual(n)) for n in range(1, table.n_max + 1)),
+    )
 
 
 def _core_closed_forms(table: cauchy.CauchyTable) -> VerificationReport:
-    identity = "core/small-index-closed-forms"
     N = table.N
     top = min(5, table.n_max)
-    for n in range(1, top + 1):
-        expected = cauchy.c_closed_form(N, n)
-        if table.values[n] != expected:
-            return failed(identity, (N, 1, n), expected, table.values[n])
-    return passed(identity, (N, 1, top))
+    return check(
+        "core/small-index-closed-forms",
+        (N, 1, top),
+        ((n, cauchy.c_closed_form(N, n), table.values[n]) for n in range(1, top + 1)),
+    )
 
 
 def _second_kind_normalization(n_max: int) -> VerificationReport:
     """c(1, n)/n! against the reciprocal of log(1+x)/x, built from the
     alternating harmonic series rather than the ratio sequence."""
-    identity = "core/second-kind-normalization"
     log_over_x = TruncatedSeries(log1p_series(n_max + 1).coefficients[1:])
-    oracle = log_over_x.reciprocal()
+    oracle = log_over_x.reciprocal().coefficients
     table = cauchy.c_via_series(1, n_max).normalized()
-    for n in range(n_max + 1):
-        if table[n] != oracle.coefficient(n):
-            return failed(identity, (1, 1, n), oracle.coefficient(n), table[n])
-    return passed(identity, (1, 1, n_max))
+    return check(
+        "core/second-kind-normalization",
+        (1, 1, n_max),
+        ((n, oracle[n], table[n]) for n in range(n_max + 1)),
+    )
 
 
 def _bernoulli_record() -> VerificationReport:
-    identity = "core/bernoulli-determinant"
     top = 12
     computed = cauchy.classical_bernoulli_det(top)
     expgen = TruncatedSeries(
         tuple(Fraction(1, factorial(k + 1)) for k in range(top + 1))
     )
-    oracle = expgen.reciprocal()
-    for n in range(top + 1):
-        expected = factorial(n) * oracle.coefficient(n)
-        if computed[n] != expected:
-            return failed(identity, (1, 1, n), expected, computed[n])
-    return passed(identity, (1, 1, top))
+    oracle = expgen.reciprocal().coefficients
+    return check(
+        "core/bernoulli-determinant",
+        (1, 1, top),
+        ((n, factorial(n) * oracle[n], computed[n]) for n in range(top + 1)),
+    )
 
 
 def _euler_record() -> VerificationReport:
-    identity = "core/euler-determinant"
     pairs = 6  # E_0 .. E_12
     computed = cauchy.classical_euler_det(pairs)
     cosh = TruncatedSeries(
         tuple(Fraction(1, factorial(2 * k)) for k in range(pairs + 1))
     )
-    oracle = cosh.reciprocal()
-    for k in range(pairs + 1):
-        expected = factorial(2 * k) * oracle.coefficient(k)
-        if computed[k] != expected:
-            return failed(identity, (1, 1, 2 * k), expected, computed[k])
-    return passed(identity, (1, 1, 2 * pairs))
+    oracle = cosh.reciprocal().coefficients
+    return check(
+        "core/euler-determinant",
+        (1, 1, 2 * pairs),
+        (
+            (2 * k, factorial(2 * k) * oracle[k], computed[k])
+            for k in range(pairs + 1)
+        ),
+    )
 
 
 def higher_suite(
@@ -240,53 +240,57 @@ def _weak_composition_residual(table: cauchy.CauchyTable) -> VerificationReport:
     convolution-method table so neither side shares code with the weight
     recurrence.
     """
-    identity = "higher/defining-recurrence-residual"
     N, r = table.N, table.r
     top = min(table.n_max, 10)
     w = [Fraction(1, N + i) for i in range(top + 1)]
     inner = [weak_composition_sum(w, d, r)[r] for d in range(top + 1)]
-    for n in range(1, top + 1):
-        acc = sum(
+
+    def residual(n: int) -> Fraction:
+        return sum(
             (-1) ** (n - m) * table.values[m] / factorial(m) * inner[n - m]
             for m in range(n + 1)
         )
-        if acc != 0:
-            return failed(identity, (N, r, n), Fraction(0), acc)
-    return passed(identity, (N, r, top))
+
+    return check(
+        "higher/defining-recurrence-residual",
+        (N, r, top),
+        ((n, Fraction(0), residual(n)) for n in range(1, top + 1)),
+    )
 
 
 def _weight_enumeration(N: int, r: int, n_max: int) -> VerificationReport:
-    identity = "higher/weight-enumeration-agreement"
     top = min(n_max, 10)
-    table = higher.weight_D(N, r, top)
+    table = higher.weight_D(N, r, top).values
     brute = higher.weight_D_by_enumeration(N, r, top)
-    for e in range(top + 1):
-        if table.weight(e) != brute[e]:
-            return failed(identity, (N, r, e), brute[e], table.weight(e))
-    return passed(identity, (N, r, top))
+    return check(
+        "higher/weight-enumeration-agreement",
+        (N, r, top),
+        ((e, brute[e], table[e]) for e in range(top + 1)),
+    )
 
 
 def _weight_closed_forms(N: int, r: int) -> VerificationReport:
     """The e = 1 .. 3 closed-form displays; the e = 4 display carries a
     documented slip and is exercised in the test suite instead."""
-    identity = "higher/weight-closed-forms"
-    table = higher.weight_D(N, r, 3)
-    for e in range(1, 4):
-        expected = higher.weight_reference_form(N, r, e)
-        if table.weight(e) != expected:
-            return failed(identity, (N, r, e), expected, table.weight(e))
-    return passed(identity, (N, r, 3))
+    table = higher.weight_D(N, r, 3).values
+    return check(
+        "higher/weight-closed-forms",
+        (N, r, 3),
+        ((e, higher.weight_reference_form(N, r, e), table[e]) for e in range(1, 4)),
+    )
 
 
 def _order_closed_forms(table: cauchy.CauchyTable) -> VerificationReport:
-    identity = "higher/order-closed-forms"
     N, r = table.N, table.r
     top = min(4, table.n_max)
-    for n in range(top + 1):
-        expected = higher.chor_closed_form(N, r, n)
-        if table.values[n] != expected:
-            return failed(identity, (N, r, n), expected, table.values[n])
-    return passed(identity, (N, r, top))
+    return check(
+        "higher/order-closed-forms",
+        (N, r, top),
+        (
+            (n, higher.chor_closed_form(N, r, n), table.values[n])
+            for n in range(top + 1)
+        ),
+    )
 
 
 def relations_suite(
@@ -350,15 +354,14 @@ def inversion_suite(
 
 
 def _signed_inverse_bands(N: int, r: int, n_max: int) -> VerificationReport:
-    identity = "inversion/signed-inverse-bands"
     rule = list(higher.weight_D(N, r, n_max).values[1:])
     alpha = determinant_sequence(1, rule)[1:]
     gamma = unit_lower_toeplitz_inverse(alpha)
-    for k in range(1, n_max + 1):
-        expected = (-1) ** k * rule[k - 1]
-        if gamma[k - 1] != expected:
-            return failed(identity, (N, r, k), expected, gamma[k - 1])
-    return passed(identity, (N, r, n_max))
+    return check(
+        "inversion/signed-inverse-bands",
+        (N, r, n_max),
+        ((k, (-1) ** k * rule[k - 1], gamma[k - 1]) for k in range(1, n_max + 1)),
+    )
 
 
 def series_rules_suite(
@@ -541,14 +544,14 @@ def _transform_roundtrip(seed: int) -> VerificationReport:
 def _transform_correspondence(N: int, n_max: int) -> VerificationReport:
     """Feeding the alternating ratio sequence through the transform yields
     the normalized first-order values; this is the direction that verifies."""
-    identity = "series/sequence-transform-correspondence"
     x = [Fraction((-1) ** (n - 1) * N, N + n) for n in range(1, n_max + 1)]
     z = cameron_transform(x)
-    table = cauchy.c_via_series(N, n_max).normalized()[1:]
-    for n in range(1, n_max + 1):
-        if z[n - 1] != table[n - 1]:
-            return failed(identity, (N, 1, n), table[n - 1], z[n - 1])
-    return passed(identity, (N, 1, n_max))
+    table = cauchy.c_via_series(N, n_max).normalized()
+    return check(
+        "series/sequence-transform-correspondence",
+        (N, 1, n_max),
+        ((n, table[n], z[n - 1]) for n in range(1, n_max + 1)),
+    )
 
 
 _SUITE_FUNCTIONS = {

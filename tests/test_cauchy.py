@@ -96,6 +96,12 @@ class TestTableValidation:
         with pytest.raises(TypeError, match="not bool"):
             CauchyTable(N=True, r=1, n_max=0, values=(F(1),), method="series")
 
+    def test_classical_determinants_reject_bool_and_float(self):
+        with pytest.raises(TypeError, match="n_max must be an integer, not bool"):
+            classical_bernoulli_det(True)
+        with pytest.raises(TypeError, match="n_max must be an integer, got float"):
+            classical_euler_det(1.5)
+
     def test_rejects_non_integer_parameters(self):
         with pytest.raises(TypeError, match="N must be an integer, got float 2.5"):
             c_via_series(2.5, 3)

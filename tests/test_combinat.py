@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import islice
 from math import comb
 
+import pytest
+
 from hgcauchy.combinat import (
     STRICT_COMPOSITION_CAP,
     composition_sum,
@@ -105,3 +107,47 @@ def test_multinomial_values():
     assert multinomial((1, 1)) == 2
     assert multinomial((2, 1, 1)) == 12
 
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: strict_compositions(-1), "total"),
+        (lambda: weak_compositions(0, -2), "parts"),
+        (lambda: weak_compositions(-1, 1), "total"),
+        (lambda: composition_sum([F(1)] * 3, -1), "t_max"),
+        (lambda: weak_composition_sum([F(1)] * 3, -1, 2), "total"),
+        (lambda: weak_composition_sum([F(1)] * 3, 2, -1), "parts"),
+    ],
+    ids=[
+        "strict_compositions",
+        "weak_compositions-parts",
+        "weak_compositions-total",
+        "composition_sum",
+        "weak_composition_sum-total",
+        "weak_composition_sum-parts",
+    ],
+)
+def test_negative_sizes_rejected_at_the_call(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be non-negative, got -"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: strict_compositions(True), "total must be an integer, not bool"),
+        (lambda: weak_compositions(2, 2.0), "parts must be an integer, got float 2.0"),
+        (lambda: composition_sum([F(1)] * 3, 1.0), "t_max must be an integer"),
+        (lambda: weak_composition_sum([F(1)] * 3, True, 2), "total must be"),
+    ],
+    ids=[
+        "strict_compositions",
+        "weak_compositions",
+        "composition_sum",
+        "weak_composition_sum",
+    ],
+)
+def test_bool_and_float_sizes_rejected(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()

@@ -130,6 +130,12 @@ class TestPartitionEnumeration:
         vectors = enumerate_partition_multiplicities(6)
         assert vectors == tuple(sorted(vectors))
 
+    def test_rejects_bool_and_float(self):
+        with pytest.raises(TypeError, match="m must be an integer, not bool"):
+            enumerate_partition_multiplicities(True)
+        with pytest.raises(TypeError, match="m must be an integer, got float 2.0"):
+            enumerate_partition_multiplicities(2.0)
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_partition_multiplicities(PARTITION_CAP + 1)
@@ -155,6 +161,13 @@ class TestInverse:
             for k in range(1, n + 1):
                 conv = sum(full_a[j] * full_g[k - j] for j in range(k + 1))
                 assert conv == 0
+
+    def test_roundtrip_rejects_negative_and_float_sizes(self):
+        rule = [F(1, 2), F(1, 3)]
+        with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
+            determinant_inversion_roundtrip(rule, -1)
+        with pytest.raises(TypeError, match="n_max must be an integer, got float"):
+            determinant_inversion_roundtrip(rule, 2.0)
 
     def test_explicit_length_argument(self):
         alpha = [F(1, 2), F(1, 3)]

@@ -104,6 +104,14 @@ class TestWeightDisplays:
                     N, r, 4
                 ).weight(4)
 
+    def test_index_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="e must be an integer, not bool"):
+            weight_reference_form(1, 2, True)
+        with pytest.raises(TypeError, match="e must be an integer, got float"):
+            weight_reference_form(1, 2, 1.0)
+        with pytest.raises(TypeError, match="n must be an integer, not bool"):
+            chor_closed_form(1, 2, True)
+
     def test_third_display_spot_value(self):
         assert weight_D(2, 3, 3).weight(3) == F(472, 135)
 

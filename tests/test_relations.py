@@ -60,6 +60,10 @@ class TestChainEnumeration:
         again = [c.indices for c in descending_chains(5)]
         assert once == again
 
+    def test_chain_head_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="n must be an integer, not bool"):
+            list(descending_chains(True))
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             ChainIndex((2, 2))

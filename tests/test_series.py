@@ -44,6 +44,36 @@ class TestConstruction:
     def test_one(self):
         assert TruncatedSeries.one(2).coefficients == (F(1), F(0), F(0))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda s: s.power(True), "exponent must be an integer, not bool"),
+            (lambda s: s.power(2.0), "exponent must be an integer, got float 2.0"),
+            (lambda s: s.ht_derivative(True), "n must be an integer, not bool"),
+            (lambda s: s.coefficient(True), "k must be an integer, not bool"),
+            (lambda s: s.truncate(1.0), "order must be an integer, got float 1.0"),
+            (lambda s: log1p_series(2.5), "order must be an integer, got float"),
+            (lambda s: log1p_series(True), "order must be an integer, not bool"),
+            (
+                lambda s: TruncatedSeries.from_coefficients([1], order=1.0),
+                "order must be an integer, got float 1.0",
+            ),
+        ],
+        ids=[
+            "power-bool",
+            "power-float",
+            "ht_derivative",
+            "coefficient",
+            "truncate",
+            "log1p_series-float",
+            "log1p_series-bool",
+            "from_coefficients",
+        ],
+    )
+    def test_bool_and_float_sizes_rejected(self, call, message):
+        with pytest.raises(TypeError, match=message):
+            call(series(1, 2, 3))
+
 
 class TestArithmetic:
     def test_product_example(self):

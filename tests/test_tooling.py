@@ -1,13 +1,17 @@
-"""Guards that tie the benchmark's committed files to the package.
+"""Guards that tie the benchmark's committed files to the package, and
+guards on the package's own source.
 
 The benchmark replays CLI argv lines against the stdout digests in
 ``bench/golden.json`` and traces the functions named in ``bench/tracer.py``;
 both break silently if the package drifts, so both are checked here in
 tier 1: the ``verify`` lines and every ``compute`` line except the five
 slowest (``compositions`` at n = 20). ``golden.json`` is only read, never
-re-recorded.
+re-recorded. The source guards read ``src/hgcauchy`` with ``ast``: no module
+imports a name it does not use, and the package's star re-exports never
+bind one name twice.
 """
 
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -20,10 +24,12 @@ from pathlib import Path
 
 import pytest
 
+import hgcauchy
 from hgcauchy import cli
 from hgcauchy.cauchy import METHODS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+PACKAGE = Path(hgcauchy.__file__).parent
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 VERIFY_LINES = sorted(line for line in GOLDEN if line.startswith("verify "))
 TRUDI_LINES = sorted(line for line in GOLDEN if line.endswith("--method trudi"))
@@ -169,3 +175,92 @@ def test_every_route_of_the_table_is_traced():
         assert counter in steps["core"], method
     for method in ("recurrence", "determinant", "trudi", "explicit", "convolution"):
         assert traced[method] in steps["higher"], method
+
+
+def _module_names(tree):
+    """Every name a module's code reads, and the strings of its ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            }
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names if a.name != "*"]
+    assert sorted(set(imported) - _module_names(tree)) == []
+
+
+def _star_modules():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        importlib.import_module(f"hgcauchy.{node.module}")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and [a.name for a in node.names] == ["*"]
+    ]
+
+
+def test_star_reexports_bind_each_name_once():
+    # a name in two re-exported __all__ lists would be bound by the later
+    # import, silently shadowing the earlier module's object
+    modules = _star_modules()
+    assert len(modules) == 7
+    owners = {}
+    for module in modules:
+        for name in module.__all__:
+            owners.setdefault(name, []).append(module.__name__)
+    assert {name: o for name, o in owners.items() if len(o) > 1} == {}
+
+
+# top-level names that stay exported, whichever module list they come from
+KEPT_EXPORTS = """
+    CHAIN_CAP CapExceeded CauchyTable ChainIndex DEFAULT_SEED D_inversion
+    HessenbergSpec OrderExceeded PARTITION_CAP STRICT_COMPOSITION_CAP
+    SUITE_NAMES TruncatedSeries VerificationReport WeightTable ZeroConstantTerm
+    c_closed_form c_via_compositions c_via_determinant c_via_recurrence
+    c_via_series c_via_trudi cameron_inverse cameron_transform
+    chain_example_first chain_example_second chain_sum chor_closed_form
+    chor_via_convolution chor_via_determinant chor_via_explicit
+    chor_via_recurrence chor_via_trudi classical_bernoulli_det
+    classical_euler_det composition_sum cross_order_step descending_chains
+    determinant_inversion_roundtrip determinant_sequence
+    enumerate_partition_multiplicities hessenberg_det hgc_generating_series
+    log1p_series multinomial ratio_inversion run_suites strict_compositions
+    trudi_sequence trudi_sum unit_lower_toeplitz_inverse weak_composition_sum
+    weak_compositions weight_D weight_D_by_enumeration weight_reference_form
+    weight_reference_mismatches
+""".split()
+
+
+def test_package_exports():
+    assert len(KEPT_EXPORTS) == 56
+    assert len(hgcauchy.__all__) == len(set(hgcauchy.__all__))
+    added = {"ROUTES", "c_trudi_printed_variant"}
+    assert set(hgcauchy.__all__) == set(KEPT_EXPORTS) | added
+    namespace = {}
+    exec("from hgcauchy import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hgcauchy.__all__)
+
+
+def test_each_export_is_its_module_object():
+    owners = {"VerificationReport": "report"}
+    owners.update(dict.fromkeys(("DEFAULT_SEED", "SUITE_NAMES", "run_suites"), "verify"))
+    for module in _star_modules():
+        owners.update(dict.fromkeys(module.__all__, module.__name__.rpartition(".")[2]))
+    assert set(owners) == set(hgcauchy.__all__)
+    for name, module_name in owners.items():
+        module = importlib.import_module(f"hgcauchy.{module_name}")
+        assert getattr(hgcauchy, name) is getattr(module, name), name

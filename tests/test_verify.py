@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hgcauchy import cauchy, verify
-from hgcauchy.report import VerificationReport, erratum, failed, passed
+from hgcauchy.report import VerificationReport, check, erratum, failed, passed
 from hgcauchy.verify import (
     core_suite,
     higher_suite,
@@ -44,6 +44,25 @@ class TestReportType:
         record = erratum("some/identity", (1, 1, 1), F(1, 2), F(-1, 2))
         assert record.status == "erratum-noted"
         assert record.ok
+
+    def test_check_without_cases_passes_at_the_point(self):
+        assert check("x", (1, 2, 3), []) == passed("x", (1, 2, 3))
+
+    def test_check_passes_when_every_case_agrees(self):
+        cases = [(n, F(n, 2), F(2 * n, 4)) for n in range(5)]
+        assert check("x", (3, 1, 4), cases) == passed("x", (3, 1, 4))
+
+    def test_check_fails_at_the_first_mismatch(self):
+        cases = [(0, 1, 1), (1, F(1, 2), F(1, 3)), (2, 5, 6)]
+        assert check("x", (3, 2, 9), cases) == failed("x", (3, 2, 1), F(1, 2), F(1, 3))
+
+    def test_check_stops_reading_after_the_first_mismatch(self):
+        def cases():
+            yield 0, 1, 1
+            yield 1, 1, 2
+            raise AssertionError("read past the first mismatch")
+
+        assert check("x", (1, 1, 5), cases()) == failed("x", (1, 1, 1), 1, 2)
 
     def test_as_dict(self):
         record = failed("x/y", (1, 2, 3), F(1), F(2))
