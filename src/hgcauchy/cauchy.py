@@ -43,7 +43,7 @@ from math import factorial
 from typing import Callable
 
 from .combinat import STRICT_COMPOSITION_CAP, composition_sum, multinomial
-from .errors import CapExceeded, _integer
+from .errors import _integer, _size, _within_cap
 from .hessenberg import (
     PARTITION_CAP,
     determinant_sequence,
@@ -81,14 +81,13 @@ METHODS = (
 
 
 def _check_parameters(N: int, n_max: int, r: int = 1) -> None:
-    for name, value in (("N", N), ("n_max", n_max), ("r", r)):
-        _integer(value, name)
+    _integer(N, "N")
+    _size(n_max, "n_max")
+    _integer(r, "r")
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
     if r < 1:
         raise ValueError(f"r must be a positive integer, got {r}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
 
 
 def _ratios(N: int, r: int, n_max: int) -> list[Fraction]:
@@ -176,8 +175,7 @@ def _composition_table(
     (-1)^(n-k) d_(e_1) .. d_(e_k), one walk over every n <= n_max
     (:func:`~hgcauchy.combinat.composition_sum`)."""
     _check_parameters(N, n_max, r)
-    if cap is not None and n_max > cap:
-        raise CapExceeded("strict composition enumeration", n_max, cap)
+    _within_cap("strict composition enumeration", n_max, cap)
     d = bands(N, r, n_max)
     T = composition_sum([(-1) ** (e + 1) * v for e, v in enumerate(d)], n_max)
     return CauchyTable.from_normalized(N, r, T, method)
@@ -190,8 +188,7 @@ def _trudi_table(
     multinomial(t) (-1)^(n - sum t) prod d_k^(t_k), one walk per n
     (:func:`~hgcauchy.hessenberg.trudi_sequence`)."""
     _check_parameters(N, n_max, r)
-    if cap is not None and n_max > cap:
-        raise CapExceeded("partition multiset enumeration", n_max, cap)
+    _within_cap("partition multiset enumeration", n_max, cap)
     dets = trudi_sequence(Fraction(1), bands(N, r, n_max)[1:], cap)
     return CauchyTable.from_normalized(N, r, dets, "trudi")
 
@@ -240,7 +237,8 @@ def c_trudi_printed_variant(
     values (first at N = 1, n = 2: -2/3 against -1/6); it exists so the
     verification suite can document that discrepancy with exact numbers.
     """
-    _check_parameters(N, n)
+    _check_parameters(N, 0)
+    _size(n, "n")
     total = Fraction(0)
     for tvec in enumerate_partition_multiplicities(n, cap):
         t_sum = sum(tvec)
@@ -272,7 +270,8 @@ def ratio_inversion(N: int, n_max: int) -> VerificationReport:
 def c_closed_form(N: int, n: int) -> Fraction:
     """Closed rational forms of c(N, n) for n = 0 .. 5, as polynomial
     quotients in N; cross-checked against every table route."""
-    _check_parameters(N, n)
+    _check_parameters(N, 0)
+    _integer(n, "n")
     if n == 0:
         return Fraction(1)
     if n == 1:
@@ -310,8 +309,7 @@ def c_closed_form(N: int, n: int) -> Fraction:
 def classical_bernoulli_det(n_max: int) -> list[Fraction]:
     """Bernoulli numbers B_0 .. B_n_max as signed Hessenberg determinants
     over factorial bands 1/(k+1)!; a fixed point for the determinant code."""
-    if _integer(n_max, "n_max") < 0:
-        raise ValueError("n_max must be non-negative")
+    _size(n_max, "n_max")
     band = [Fraction(1, factorial(k + 1)) for k in range(1, n_max + 1)]
     dets = determinant_sequence(1, band)
     return [(-1) ** n * factorial(n) * dets[n] for n in range(n_max + 1)]
@@ -320,8 +318,7 @@ def classical_bernoulli_det(n_max: int) -> list[Fraction]:
 def classical_euler_det(n_max: int) -> list[Fraction]:
     """Euler numbers E_0, E_2, .., E_(2 n_max) from even-factorial bands
     1/(2k)!; the secant-series convention (E_2 = -1, E_4 = 5)."""
-    if _integer(n_max, "n_max") < 0:
-        raise ValueError("n_max must be non-negative")
+    _size(n_max, "n_max")
     band = [Fraction(1, factorial(2 * k)) for k in range(1, n_max + 1)]
     dets = determinant_sequence(1, band)
     return [(-1) ** k * factorial(2 * k) * dets[k] for k in range(n_max + 1)]

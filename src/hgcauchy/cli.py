@@ -29,6 +29,17 @@ from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "build_parser"]
 
+
+def _at_least(low: int):
+    """The argparse ``type=`` of an integer flag bounded below by ``low``."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgcauchy",
@@ -40,11 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser(
         "compute", help="print a table of c(N, n) or c^(r)(N, n) values"
     )
-    p_compute.add_argument("--N", type=int, required=True, help="parameter N >= 1")
     p_compute.add_argument(
-        "--n-max", type=int, required=True, help="largest index n >= 0"
+        "--N", type=_at_least(1), required=True, help="parameter N >= 1"
     )
-    p_compute.add_argument("--r", type=int, default=1, help="order r >= 1 (default 1)")
+    p_compute.add_argument(
+        "--n-max", type=_at_least(0), required=True, help="largest index n >= 0"
+    )
+    p_compute.add_argument(
+        "--r", type=_at_least(1), default=1, help="order r >= 1 (default 1)"
+    )
     p_compute.add_argument(
         "--method",
         choices=tuple(higher.ROUTES),
@@ -69,10 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which suite to run (default all)",
     )
-    p_verify.add_argument("--N-max", type=int, default=4, help="largest N (default 4)")
-    p_verify.add_argument("--r-max", type=int, default=3, help="largest r (default 3)")
     p_verify.add_argument(
-        "--n-max", type=int, default=12, help="largest index (default 12)"
+        "--N-max", type=_at_least(1), default=4, help="largest N (default 4)"
+    )
+    p_verify.add_argument(
+        "--r-max", type=_at_least(1), default=3, help="largest r (default 3)"
+    )
+    p_verify.add_argument(
+        "--n-max", type=_at_least(0), default=12, help="largest index (default 12)"
     )
     p_verify.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
@@ -89,10 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="band rule: 1/(n+1), N/(N+n), or the order-r weights",
     )
-    p_invert.add_argument("--N", type=int, required=True, help="parameter N >= 1")
-    p_invert.add_argument("--r", type=int, default=1, help="order r >= 1 (default 1)")
     p_invert.add_argument(
-        "--n-max", type=int, required=True, help="largest band index n >= 1"
+        "--N", type=_at_least(1), required=True, help="parameter N >= 1"
+    )
+    p_invert.add_argument(
+        "--r", type=_at_least(1), default=1, help="order r >= 1 (default 1)"
+    )
+    p_invert.add_argument(
+        "--n-max", type=_at_least(1), required=True, help="largest band index n >= 1"
     )
     p_invert.set_defaults(handler=cmd_invert)
 
@@ -119,12 +142,6 @@ def _warn_unsafe(args: argparse.Namespace) -> None:
 
 
 def cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.N < 1:
-        parser.error("--N must be at least 1")
-    if args.n_max < 0:
-        parser.error("--n-max must be non-negative")
-    if args.r < 1:
-        parser.error("--r must be at least 1")
     route = higher.ROUTES[args.method]
     if args.r > 1 and not route.any_order:
         *others, last = (m for m, rt in higher.ROUTES.items() if rt.any_order)
@@ -165,12 +182,6 @@ def _format_text_record(record: VerificationReport) -> str:
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.N_max < 1:
-        parser.error("--N-max must be at least 1")
-    if args.r_max < 1:
-        parser.error("--r-max must be at least 1")
-    if args.n_max < 0:
-        parser.error("--n-max must be non-negative")
     _warn_unsafe(args)
     records = run_suites(
         args.suite,
@@ -204,13 +215,6 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_invert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.N < 1:
-        parser.error("--N must be at least 1")
-    if args.r < 1:
-        parser.error("--r must be at least 1")
-    if args.n_max < 1:
-        parser.error("--n-max must be at least 1")
-
     N, r, n_max = args.N, args.r, args.n_max
     if args.rule == "cauchy":
         rule = [Fraction(1, n + 1) for n in range(1, n_max + 1)]

@@ -1,5 +1,6 @@
-"""Exceptions shared across the exact-computation modules, and the one rule
-for integer arguments."""
+"""Exceptions shared across the exact-computation modules, and the input
+rules: :func:`_integer` for integers, :func:`_size` for sizes, and
+:func:`_within_cap`, the one cap check (a cap is None or a non-negative int)."""
 
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ class CapExceeded(ValueError):
 
     The exhaustive expansions (strict compositions, partition multisets,
     descending chains) grow exponentially; the caps bound accidental misuse.
-    Callers that really want the full enumeration pass ``cap=None``.
+    Callers that really want the full enumeration pass ``cap=None``; any
+    other cap is a non-negative int, checked by :func:`_within_cap`.
     """
 
     def __init__(self, what: str, requested: int, cap: int):
@@ -53,3 +55,10 @@ def _size(value, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
+
+
+def _within_cap(what: str, size: int, cap: int | None) -> None:
+    """Raise :class:`CapExceeded` when ``size`` is past a ``cap`` that is not
+    None; the cap itself meets the :func:`_size` rule."""
+    if cap is not None and size > _size(cap, "cap"):
+        raise CapExceeded(what, size, cap)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import CapExceeded, _integer, _size
+from .errors import _integer, _size, _within_cap
 from .report import VerificationReport, check
 from .series import _fraction, _scaled, toeplitz_solve
 
@@ -111,10 +111,8 @@ def enumerate_partition_multiplicities(
     Results are memoized per m while m stays within the cap; beyond the cap a
     :class:`CapExceeded` is raised unless ``cap=None``.
     """
-    if _integer(m, "m") < 0:
-        raise ValueError("m must be non-negative")
-    if cap is not None and m > cap:
-        raise CapExceeded("partition multiset enumeration", m, cap)
+    _size(m, "m")
+    _within_cap("partition multiset enumeration", m, cap)
     if m in _partition_memo:
         return _partition_memo[m]
 
@@ -158,8 +156,7 @@ def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction
     checked before any work.
     """
     n = spec.n
-    if cap is not None and n > cap:
-        raise CapExceeded("partition multiset enumeration", n, cap)
+    _within_cap("partition multiset enumeration", n, cap)
     A, den = _scaled(list(spec.band))
     acc = [0] * (n + 1)
 
@@ -195,8 +192,7 @@ def trudi_sequence(
     :func:`determinant_sequence`; the cap is checked before any walk.
     """
     n = len(band)
-    if cap is not None and n > cap:
-        raise CapExceeded("partition multiset enumeration", n, cap)
+    _within_cap("partition multiset enumeration", n, cap)
     return [
         trudi_sum(HessenbergSpec(super_entry, band[:m]), cap) for m in range(n + 1)
     ]
@@ -213,7 +209,7 @@ def unit_lower_toeplitz_inverse(
     ``n`` defaults to the band count and otherwise must match it.
     """
     a = [Fraction(v) for v in alpha]
-    if n is not None and n != len(a):
+    if n is not None and _integer(n, "n") != len(a):
         raise ValueError(f"alpha has {len(a)} bands, n = {n} given")
     return toeplitz_solve([Fraction(1)] + a)[1:]
 

@@ -32,7 +32,7 @@ from typing import Iterator
 
 from .cauchy import c_via_series
 from .combinat import composition_sum
-from .errors import CapExceeded, _integer
+from .errors import _size, _within_cap
 from .report import VerificationReport, check
 
 __all__ = [
@@ -77,8 +77,7 @@ class ChainIndex:
 def descending_chains(n: int) -> Iterator[ChainIndex]:
     """All 2^n chains with head n: subsets of {0, .., n-1} in ascending size,
     lexicographic within each size, listed in decreasing order after the head."""
-    if _integer(n, "n") < 0:
-        raise ValueError("n must be non-negative")
+    _size(n, "n")
     for m in range(n + 1):
         for subset in combinations(range(n), m):
             yield ChainIndex((n,) + tuple(sorted(subset, reverse=True)))
@@ -133,8 +132,7 @@ def chain_sum(
     """Full descending-chain expansion, checked for n = 1 .. n_max. With
     b_t = c(N-1, t)/t!, the chains of head n and tail t sum to n! b_t S[n-t],
     where S is the composition sum of the gap weights N/(1-N) b_(g+1)."""
-    if cap is not None and n_max > cap:
-        raise CapExceeded("descending chain enumeration", n_max, cap)
+    _within_cap("descending chain enumeration", n_max, cap)
     current, previous = _tables(N, n_max)
     b = [v / factorial(t) for t, v in enumerate(previous)]
     # gap g weighs N/(1-N) b[g+1], entry g of this list

@@ -26,7 +26,7 @@ from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import OrderExceeded, ZeroConstantTerm, _integer
+from .errors import OrderExceeded, ZeroConstantTerm, _integer, _size
 
 __all__ = [
     "TruncatedSeries",
@@ -56,8 +56,7 @@ class TruncatedSeries:
         """Build a series, zero-padding or truncating to ``order`` if given."""
         coeffs = list(coefficients)
         if order is not None:
-            if _integer(order, "order") < 0:
-                raise ValueError("order must be non-negative")
+            _size(order, "order")
             coeffs = coeffs[: order + 1]
             coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs))
@@ -117,8 +116,7 @@ class TruncatedSeries:
 
     def power(self, exponent: int) -> "TruncatedSeries":
         """Repeated product; ``exponent`` must be a non-negative integer."""
-        if _integer(exponent, "exponent") < 0:
-            raise ValueError("negative powers go through reciprocal() explicitly")
+        _size(exponent, "exponent")
         if exponent == 0:
             return TruncatedSeries.one(self.order)
         result = self
@@ -132,9 +130,7 @@ class TruncatedSeries:
         The result order drops to ``order - n``; asking for ``n > order``
         raises :class:`OrderExceeded`.
         """
-        if _integer(n, "n") < 0:
-            raise ValueError("derivative order must be non-negative")
-        if n > self.order:
+        if _size(n, "n") > self.order:
             raise OrderExceeded(
                 f"derivative of order {n} of a series of order {self.order}"
             )
@@ -208,8 +204,7 @@ def toeplitz_solve(a: Sequence[Fraction]) -> list[Fraction]:
 
 def log1p_series(order: int) -> TruncatedSeries:
     """log(1 + x) to the given order: x - x^2/2 + x^3/3 - ..."""
-    if _integer(order, "order") < 0:
-        raise ValueError("order must be non-negative")
+    _size(order, "order")
     coeffs = [Fraction(0)]
     for k in range(1, order + 1):
         coeffs.append(Fraction((-1) ** (k - 1), k))

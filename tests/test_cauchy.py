@@ -19,8 +19,15 @@ from hgcauchy.cauchy import (
     ratio_inversion,
 )
 from hgcauchy.errors import CapExceeded
-from hgcauchy.hessenberg import determinant_sequence
-from hgcauchy.higher import chor_via_trudi
+from hgcauchy.hessenberg import (
+    HessenbergSpec,
+    determinant_sequence,
+    enumerate_partition_multiplicities,
+    trudi_sequence,
+    trudi_sum,
+)
+from hgcauchy.higher import chor_via_explicit, chor_via_trudi
+from hgcauchy.relations import chain_sum
 from hgcauchy.series import TruncatedSeries, log1p_series
 
 ALL_METHODS = (
@@ -171,6 +178,14 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             c_closed_form(1, 6)
 
+    def test_errors_name_n(self):
+        with pytest.raises(ValueError, match="no closed form for n = -1"):
+            c_closed_form(1, -1)
+        with pytest.raises(TypeError, match="^n must be an integer, not bool"):
+            c_closed_form(1, True)
+        with pytest.raises(ValueError, match="^N must be a positive integer, got 0"):
+            c_closed_form(0, 2)
+
 
 class TestRatioInversion:
     def test_grid(self):
@@ -196,6 +211,12 @@ class TestPrintedVariant:
         literal = c_trudi_printed_variant(1, 2)
         assert literal == F(-2, 3)
         assert literal != c_via_series(1, 2).values[2]
+
+    def test_errors_name_n(self):
+        with pytest.raises(ValueError, match="^n must be non-negative, got -1"):
+            c_trudi_printed_variant(1, -1)
+        with pytest.raises(TypeError, match="^n must be an integer, not bool"):
+            c_trudi_printed_variant(1, True)
 
 
 class TestCaps:
@@ -231,6 +252,48 @@ class TestCaps:
 
     def test_uncapped_small_case_runs(self):
         assert c_via_compositions(1, 5, cap=None).values == c_via_series(1, 5).values
+
+
+# every public function that takes a cap, called at enumeration size SIZE
+SIZE = 4
+BAND = [F(2, 3), F(1, 2), F(2, 5), F(1, 3)]
+CAPPED = {
+    "c_via_compositions": lambda cap: c_via_compositions(2, SIZE, cap),
+    "c_via_trudi": lambda cap: c_via_trudi(2, SIZE, cap),
+    "c_trudi_printed_variant": lambda cap: c_trudi_printed_variant(2, SIZE, cap),
+    "chor_via_explicit": lambda cap: chor_via_explicit(2, 3, SIZE, cap),
+    "chor_via_trudi": lambda cap: chor_via_trudi(2, 3, SIZE, cap),
+    "trudi_sum": lambda cap: trudi_sum(HessenbergSpec(F(1), BAND), cap),
+    "trudi_sequence": lambda cap: trudi_sequence(F(1), BAND, cap),
+    "enumerate_partition_multiplicities": (
+        lambda cap: enumerate_partition_multiplicities(SIZE, cap)
+    ),
+    "chain_sum": lambda cap: chain_sum(3, SIZE, cap),
+}
+
+
+@pytest.mark.parametrize("name", CAPPED)
+@pytest.mark.parametrize(
+    "cap, error, message",
+    [
+        (True, TypeError, "^cap must be an integer, not bool$"),
+        (2.5, TypeError, "^cap must be an integer, got float 2.5$"),
+        ("x", TypeError, "^cap must be an integer, got str 'x'$"),
+        (-1, ValueError, "^cap must be non-negative, got -1$"),
+    ],
+    ids=("bool", "float", "str", "negative"),
+)
+def test_cap_meets_the_size_rule(name, cap, error, message):
+    with pytest.raises(error, match=message):
+        CAPPED[name](cap)
+
+
+@pytest.mark.parametrize("name", CAPPED)
+def test_cap_bounds_the_size(name):
+    CAPPED[name](SIZE)
+    with pytest.raises(CapExceeded) as exc:
+        CAPPED[name](SIZE - 1)
+    assert (exc.value.requested, exc.value.cap) == (SIZE, SIZE - 1)
 
 
 class TestClassicalDeterminants:

@@ -88,6 +88,14 @@ class TestCompute:
             run_cli(capsys, "compute", "--N", "0", "--n-max", "2")
         assert exc.value.code == 2
 
+    def test_non_integer_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "compute", "--N", "x", "--n-max", "2")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --N: invalid int value: 'x'\n"
+        )
+
     def test_cap_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -119,6 +127,38 @@ class TestCompute:
         assert f"compositions n <= {STRICT_COMPOSITION_CAP}" in text
         assert f"partitions m <= {PARTITION_CAP}" in text
         assert f"chains n <= {CHAIN_CAP}" in text
+
+
+# a valid command line per subcommand, and the lower bound of each bounded flag
+VALID = {
+    "compute": {"--N": "1", "--n-max": "2", "--r": "1"},
+    "verify": {"--N-max": "1", "--r-max": "1", "--n-max": "0", "--suite": "core"},
+    "invert": {"--N": "1", "--r": "1", "--n-max": "1", "--rule": "hgc"},
+}
+BOUNDS = [
+    ("compute", "--N", 1),
+    ("compute", "--n-max", 0),
+    ("compute", "--r", 1),
+    ("verify", "--N-max", 1),
+    ("verify", "--r-max", 1),
+    ("verify", "--n-max", 0),
+    ("invert", "--N", 1),
+    ("invert", "--r", 1),
+    ("invert", "--n-max", 1),
+]
+
+
+@pytest.mark.parametrize("command, flag, low", BOUNDS)
+def test_flag_below_its_bound_exits_2_naming_the_flag(capsys, command, flag, low):
+    flags = dict(VALID[command])
+    assert run_cli(capsys, command, *(x for kv in flags.items() for x in kv))[0] == 0
+    flags[flag] = str(low - 1)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, command, *(x for kv in flags.items() for x in kv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: must be at least {low}, got {low - 1}\n"
+    )
 
 
 class TestVerify:

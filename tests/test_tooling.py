@@ -7,8 +7,9 @@ both break silently if the package drifts, so both are checked here in
 tier 1: the ``verify`` lines and every ``compute`` line except the five
 slowest (``compositions`` at n = 20). ``golden.json`` is only read, never
 re-recorded. The source guards read ``src/hgcauchy`` with ``ast``: no module
-imports a name it does not use, and the package's star re-exports never
-bind one name twice.
+imports a name it does not use, the package's star re-exports never bind one
+name twice, and each input rule is stated in one place (caps and sizes in
+``errors``, flag bounds where ``cli`` declares the flags).
 """
 
 import ast
@@ -200,6 +201,50 @@ def test_no_unused_import(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names if a.name != "*"]
     assert sorted(set(imported) - _module_names(tree)) == []
+
+
+def _calls(tree, name):
+    """The calls in ``tree`` of a function or method called ``name``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def _package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def test_cap_exceeded_is_raised_in_one_place():
+    trees = _package_trees()
+    counts = {name: len(_calls(tree, "CapExceeded")) for name, tree in trees.items()}
+    assert {name: n for name, n in counts.items() if n} == {"errors.py": 1}
+
+
+def test_no_hand_rolled_negative_size_check():
+    # errors._size is the one non-negative rule
+    hand_rolled = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and _calls(node.left, "_integer")
+        and isinstance(node.ops[0], ast.Lt)
+        and getattr(node.comparators[0], "value", None) == 0
+    ]
+    assert hand_rolled == []
+
+
+def test_cli_bounds_live_in_the_flag_types():
+    # only the --r/--method rule involves two flags, so only it is checked
+    # after parsing; every other bound is an argparse type of its flag
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    errors = _calls(tree, "error")
+    assert len(errors) == 1
+    texts = [c.value for c in ast.walk(errors[0]) if isinstance(c, ast.Constant)]
+    assert "supports --r 1 only" in "".join(texts)
 
 
 def _star_modules():
