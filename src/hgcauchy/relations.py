@@ -32,7 +32,7 @@ from typing import Iterator
 
 from .cauchy import c_via_series
 from .combinat import composition_sum
-from .errors import _size, _within_cap
+from .errors import _integer, _size, _within_cap
 from .report import VerificationReport, check
 
 __all__ = [
@@ -58,6 +58,8 @@ class ChainIndex:
     def __post_init__(self):
         if not self.indices:
             raise ValueError("a chain holds at least its head index")
+        for k, i in enumerate(self.indices):
+            _integer(i, f"chain index i_{k}")
         for a, b in zip(self.indices, self.indices[1:]):
             if a <= b:
                 raise ValueError(f"chain {self.indices} is not strictly decreasing")

@@ -3,9 +3,7 @@
 Every checkable identity in this package reports through
 :class:`VerificationReport`, and :func:`check` is the one place where a
 check's comparisons become a record: the first mismatch fails at its index,
-otherwise the identity passes. The seeded random sweeps of ``verify``, whose
-fail records carry whole coefficient lists, are the only other callers of
-:func:`failed`. ``parameter_point`` is always an ``(N, r, n)``
+otherwise the identity passes. ``parameter_point`` is always an ``(N, r, n)``
 triple; checks that are not tied to a table point (the generic series-rule
 sweeps) use ``N = 0, r = 0`` with ``n`` carrying the truncation order or the
 instance count.

@@ -65,6 +65,9 @@ class TruncatedSeries:
     def one(cls, order: int) -> "TruncatedSeries":
         return cls.from_coefficients([1], order=order)
 
+    def __str__(self) -> str:
+        return " ".join(map(str, self.coefficients))
+
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -27,7 +28,7 @@ from .hessenberg import (
     determinant_inversion_roundtrip,
     unit_lower_toeplitz_inverse,
 )
-from .report import VerificationReport, check, erratum, failed, passed
+from .report import VerificationReport, check, erratum
 from .series import (
     TruncatedSeries,
     _scaled,
@@ -212,9 +213,10 @@ def higher_suite(
         for r in range(1, r_max + 1):
             others = _route_tables(N, r, n_max, capped, order_r_only=True)
             ref = others.pop("recurrence")
+            brute = higher.weight_D_by_enumeration(N, r, min(n_max, 10))
             records.append(_agreement("higher/method-agreement", ref, others.values()))
-            records.append(_weak_composition_residual(others["convolution"]))
-            records.append(_weight_enumeration(N, r, n_max))
+            records.append(_weak_composition_residual(others["convolution"], brute))
+            records.append(_weight_enumeration(N, r, brute))
             records.append(_weight_closed_forms(N, r))
             records.append(_order_closed_forms(ref))
 
@@ -227,25 +229,26 @@ def higher_suite(
     return records
 
 
-def _weak_composition_residual(table: cauchy.CauchyTable) -> VerificationReport:
+def _weak_composition_residual(
+    table: cauchy.CauchyTable, brute: list[Fraction]
+) -> VerificationReport:
     """The order-r defining relation, evaluated by brute-force enumeration:
 
         sum_{m=0..n} sum over weak compositions (i_1..i_r) of n-m
         of (-1)^(n-m) c^(r)(N, m) / (m! (N+i_1) .. (N+i_r))  ==  0,
 
-    the inner sums walked over the weights 1/(N+i) by
-    :func:`~hgcauchy.combinat.weak_composition_sum`. Checked on the
-    convolution-method table so neither side shares code with the weight
-    recurrence.
+    for n up to the last index of ``brute``, the weights D_r(0 ..) of
+    :func:`~hgcauchy.higher.weight_D_by_enumeration`: each inner sum is
+    D_r(n-m)/N^r. Checked on the convolution-method table so neither side
+    shares code with the weight recurrence.
     """
     N, r = table.N, table.r
-    top = min(table.n_max, 10)
-    w = [Fraction(1, N + i) for i in range(top + 1)]
-    inner = [weak_composition_sum(w, d, r)[r] for d in range(top + 1)]
+    top = len(brute) - 1
+    scale = N**r
 
     def residual(n: int) -> Fraction:
         return sum(
-            (-1) ** (n - m) * table.values[m] / factorial(m) * inner[n - m]
+            (-1) ** (n - m) * table.values[m] / factorial(m) * brute[n - m] / scale
             for m in range(n + 1)
         )
 
@@ -256,10 +259,9 @@ def _weak_composition_residual(table: cauchy.CauchyTable) -> VerificationReport:
     )
 
 
-def _weight_enumeration(N: int, r: int, n_max: int) -> VerificationReport:
-    top = min(n_max, 10)
+def _weight_enumeration(N: int, r: int, brute: list[Fraction]) -> VerificationReport:
+    top = len(brute) - 1
     table = higher.weight_D(N, r, top).values
-    brute = higher.weight_D_by_enumeration(N, r, top)
     return check(
         "higher/weight-enumeration-agreement",
         (N, r, top),
@@ -310,35 +312,26 @@ def inversion_suite(
     N_max: int = 4, r_max: int = 3, n_max: int = 12, capped: bool = True
 ) -> list[VerificationReport]:
     """Determinant round trips, ratio and weight recovery, the sign-corrected
-    inverse-band identity, and the unsigned-display erratum."""
-    records = []
-    for N in range(1, N_max + 1):
-        records.append(
-            determinant_inversion_roundtrip(
-                [Fraction(N, N + k) for k in range(1, n_max + 1)],
-                n_max,
-                identity="inversion/determinant-roundtrip",
-                point=(N, 1, n_max),
-            )
+    inverse-band identity, and the unsigned-display erratum. The bands of
+    each (N, r) are D_r(1 .. n_max), at r = 1 the ratios N/(N+k)."""
+    Ns = range(1, N_max + 1)
+    grid = [(N, 1) for N in Ns] + [(N, r) for N in Ns for r in range(2, r_max + 1)]
+    bands = {(N, r): list(higher.weight_D(N, r, n_max).values[1:]) for N, r in grid}
+    records = [
+        determinant_inversion_roundtrip(
+            bands[N, r], n_max, "inversion/determinant-roundtrip", (N, r, n_max)
         )
-    for N in range(1, N_max + 1):
-        for r in range(2, r_max + 1):
-            records.append(
-                determinant_inversion_roundtrip(
-                    list(higher.weight_D(N, r, n_max).values[1:]),
-                    n_max,
-                    identity="inversion/determinant-roundtrip",
-                    point=(N, r, n_max),
-                )
-            )
-    for N in range(1, N_max + 1):
-        records.append(cauchy.ratio_inversion(N, n_max))
-    for N in range(1, N_max + 1):
-        for r in range(2, r_max + 1):
-            records.append(higher.D_inversion(N, r, n_max))
-    for N in range(1, N_max + 1):
-        for r in range(1, r_max + 1):
-            records.append(_signed_inverse_bands(N, r, n_max))
+        for N, r in grid
+    ]
+    records += [
+        cauchy.ratio_inversion(N, n_max) if r == 1 else higher.D_inversion(N, r, n_max)
+        for N, r in grid
+    ]
+    records += [
+        _signed_inverse_bands(bands[N, r], (N, r, n_max))
+        for N in Ns
+        for r in range(1, r_max + 1)
+    ]
 
     # the inverse-matrix display as printed claims bands R(k); the computed
     # bands carry the alternating sign, seen in the one band R(1) = 1/2
@@ -351,14 +344,15 @@ def inversion_suite(
     return records
 
 
-def _signed_inverse_bands(N: int, r: int, n_max: int) -> VerificationReport:
-    rule = list(higher.weight_D(N, r, n_max).values[1:])
+def _signed_inverse_bands(
+    rule: Sequence[Fraction], point: tuple[int, int, int]
+) -> VerificationReport:
     alpha = determinant_sequence(1, rule)[1:]
     gamma = unit_lower_toeplitz_inverse(alpha)
     return check(
         "inversion/signed-inverse-bands",
-        (N, r, n_max),
-        ((k, (-1) ** k * rule[k - 1], gamma[k - 1]) for k in range(1, n_max + 1)),
+        point,
+        ((k, (-1) ** k * rule[k - 1], gamma[k - 1]) for k in range(1, len(rule) + 1)),
     )
 
 
@@ -394,20 +388,16 @@ def series_rules_suite(
 
 
 def _reciprocal_unit_product(seed: int) -> VerificationReport:
-    identity = "series/reciprocal-unit-product"
-    rng = random.Random(seed)
-    for order in range(26):
-        a = _random_series(rng, order, nonzero_constant=True)
-        product = a * a.reciprocal()
-        unit = TruncatedSeries.one(order)
-        if product != unit:
-            return failed(
-                identity,
-                (0, 0, order),
-                "unit series",
-                " ".join(str(c) for c in product.coefficients),
-            )
-    return passed(identity, (0, 0, 25))
+    """a times 1/a is the unit series, for one random a of each order
+    0 .. 25; yields one case per order to :func:`~hgcauchy.report.check`."""
+
+    def cases():
+        rng = random.Random(seed)
+        for order in range(26):
+            a = _random_series(rng, order, nonzero_constant=True)
+            yield order, TruncatedSeries.one(order), a * a.reciprocal()
+
+    return check("series/reciprocal-unit-product", (0, 0, 25), cases())
 
 
 def _product_rule_sweep(instances: int, seed: int) -> VerificationReport:
@@ -415,27 +405,20 @@ def _product_rule_sweep(instances: int, seed: int) -> VerificationReport:
     factors; checked as full series, not just one coefficient. The lhs goes
     through ``TruncatedSeries.__mul__`` and ``ht_derivative``; the rhs is
     :func:`_product_rule_rhs`, which shares no product or derivative
-    arithmetic with either (only the lcm scaling ``series._scaled``)."""
-    identity = "series/derivative-product-rule"
-    rng = random.Random(seed + 1)
-    for _ in range(instances):
-        k = rng.randint(2, 4)
-        order = rng.randint(1, 10)
-        n = rng.randint(1, min(order, 6))
-        factors = [_random_series(rng, order) for _ in range(k)]
-        product = factors[0]
-        for f in factors[1:]:
-            product = product * f
-        lhs = product.ht_derivative(n)
-        rhs = _product_rule_rhs(factors, n)
-        if lhs != rhs:
-            return failed(
-                identity,
-                (0, 0, n),
-                " ".join(str(c) for c in lhs.coefficients),
-                " ".join(str(c) for c in rhs.coefficients),
-            )
-    return passed(identity, (0, 0, instances))
+    arithmetic with either (only the lcm scaling ``series._scaled``). Yields
+    one case per instance to :func:`~hgcauchy.report.check`."""
+
+    def cases():
+        rng = random.Random(seed + 1)
+        for _ in range(instances):
+            k = rng.randint(2, 4)
+            order = rng.randint(1, 10)
+            n = rng.randint(1, min(order, 6))
+            factors = [_random_series(rng, order) for _ in range(k)]
+            lhs = reduce(mul, factors).ht_derivative(n)
+            yield n, lhs, _product_rule_rhs(factors, n)
+
+    return check("series/derivative-product-rule", (0, 0, instances), cases())
 
 
 def _product_rule_rhs(factors: Sequence[TruncatedSeries], n: int) -> TruncatedSeries:
@@ -483,60 +466,60 @@ def _truncated_product(a: list[int], b: list[int]) -> list[int]:
 def _quotient_rule_strict_sweep(instances: int, seed: int) -> VerificationReport:
     """Coefficient n of 1/f as a strict-composition sum with sign (-1)^k and
     factor f_0^-(k+1): 1/f_0 times the composition sum of the weights
-    -f_e/f_0, walked by :func:`~hgcauchy.combinat.composition_sum`."""
-    identity = "series/derivative-quotient-rule-strict"
-    rng = random.Random(seed + 2)
-    for _ in range(instances):
-        order = rng.randint(1, 8)
-        n = rng.randint(1, order)
-        f = _random_series(rng, order, nonzero_constant=True)
-        lhs = f.reciprocal().ht_derivative(n).coefficient(0)
-        f0 = f.coefficient(0)
-        rhs = composition_sum([-c / f0 for c in f.coefficients], n)[n] / f0
-        if lhs != rhs:
-            return failed(identity, (0, 0, n), lhs, rhs)
-    return passed(identity, (0, 0, instances))
+    -f_e/f_0, walked by :func:`~hgcauchy.combinat.composition_sum`. Yields
+    one case per instance to :func:`~hgcauchy.report.check`."""
+
+    def cases():
+        rng = random.Random(seed + 2)
+        for _ in range(instances):
+            order = rng.randint(1, 8)
+            n = rng.randint(1, order)
+            f = _random_series(rng, order, nonzero_constant=True)
+            lhs = f.reciprocal().ht_derivative(n).coefficient(0)
+            f0 = f.coefficient(0)
+            yield n, lhs, composition_sum([-c / f0 for c in f.coefficients], n)[n] / f0
+
+    return check("series/derivative-quotient-rule-strict", (0, 0, instances), cases())
 
 
 def _quotient_rule_weighted_sweep(instances: int, seed: int) -> VerificationReport:
     """Same target through binomial(n+1, k+1) weights over weak compositions
     of n into k parts, one walk of the coefficients of f for every k by
-    :func:`~hgcauchy.combinat.weak_composition_sum`."""
-    identity = "series/derivative-quotient-rule-weighted"
-    rng = random.Random(seed + 3)
-    for _ in range(instances):
-        order = rng.randint(1, 8)
-        n = rng.randint(1, order)
-        f = _random_series(rng, order, nonzero_constant=True)
-        lhs = f.reciprocal().ht_derivative(n).coefficient(0)
-        f0 = f.coefficient(0)
-        W = weak_composition_sum(f.coefficients, n, n)
-        rhs = sum(
-            comb(n + 1, k + 1) * (-1) ** k / f0 ** (k + 1) * W[k]
-            for k in range(1, n + 1)
-        )
-        if lhs != rhs:
-            return failed(identity, (0, 0, n), lhs, rhs)
-    return passed(identity, (0, 0, instances))
+    :func:`~hgcauchy.combinat.weak_composition_sum`. Yields one case per
+    instance to :func:`~hgcauchy.report.check`."""
+
+    def cases():
+        rng = random.Random(seed + 3)
+        for _ in range(instances):
+            order = rng.randint(1, 8)
+            n = rng.randint(1, order)
+            f = _random_series(rng, order, nonzero_constant=True)
+            lhs = f.reciprocal().ht_derivative(n).coefficient(0)
+            f0 = f.coefficient(0)
+            W = weak_composition_sum(f.coefficients, n, n)
+            yield n, lhs, sum(
+                comb(n + 1, k + 1) * (-1) ** k / f0 ** (k + 1) * W[k]
+                for k in range(1, n + 1)
+            )
+
+    return check("series/derivative-quotient-rule-weighted", (0, 0, instances), cases())
 
 
 def _transform_roundtrip(seed: int) -> VerificationReport:
-    identity = "series/sequence-transform-roundtrip"
-    rng = random.Random(seed + 4)
+    """The transform inverts on a random sequence and fixes the zero one;
+    yields both cases to :func:`~hgcauchy.report.check` as series, so that a
+    fail record lists the terms."""
     order = 20
-    x = [_random_fraction(rng) for _ in range(order)]
-    recovered = cameron_inverse(cameron_transform(x))
-    if recovered != x:
-        return failed(
-            identity,
-            (0, 0, order),
-            " ".join(str(v) for v in x),
-            " ".join(str(v) for v in recovered),
-        )
-    zeros = [Fraction(0)] * order
-    if cameron_transform(zeros) != zeros:
-        return failed(identity, (0, 0, order), "zero sequence", "nonzero")
-    return passed(identity, (0, 0, order))
+
+    def cases():
+        as_series = TruncatedSeries.from_coefficients
+        rng = random.Random(seed + 4)
+        x = [_random_fraction(rng) for _ in range(order)]
+        yield order, as_series(x), as_series(cameron_inverse(cameron_transform(x)))
+        zeros = [Fraction(0)] * order
+        yield order, as_series(zeros), as_series(cameron_transform(zeros))
+
+    return check("series/sequence-transform-roundtrip", (0, 0, order), cases())
 
 
 def _transform_correspondence(N: int, n_max: int) -> VerificationReport:

@@ -4,7 +4,9 @@ Every check reports its first mismatch as a ``fail`` record at the point
 (N, r, n) of the failing index, with the (expected, actual) pair in a fixed
 order. Each test below perturbs one input of one check by +1 at one index,
 so exactly one comparison fails, and pins the whole record: identity, point
-and detail.
+and detail. The seeded series-rule sweeps stop at their first failing
+instance, whose values the fixed seed determines; their detail lists every
+coefficient of a series, or both sequences of the transform round trip.
 """
 
 from fractions import Fraction as F
@@ -14,6 +16,7 @@ import pytest
 from hgcauchy import cauchy, hessenberg, higher, relations, verify
 from hgcauchy.cauchy import CauchyTable
 from hgcauchy.report import VerificationReport
+from hgcauchy.series import TruncatedSeries
 
 
 def bump(monkeypatch, owner, name, index=None, when=None):
@@ -242,3 +245,93 @@ def test_every_record_site_is_pinned():
     # twenty sites: D_inversion has two halves, _agreement serves two suites
     assert len({p.values[0] for p in SITES}) == len(SITES) == 20
 
+
+def bump_last_coefficient(monkeypatch, owner, name, when=lambda *args: True):
+    """Add 1 to the last coefficient of the series ``owner.name`` returns, on
+    the calls whose arguments satisfy ``when``."""
+    original = getattr(owner, name)
+
+    def bumped(*args):
+        out = original(*args)
+        if not when(*args):
+            return out
+        return TruncatedSeries(out.coefficients[:-1] + (out.coefficients[-1] + 1,))
+
+    monkeypatch.setattr(owner, name, bumped)
+
+
+def transform_roundtrip():
+    return verify._transform_roundtrip(verify.DEFAULT_SEED)
+
+
+ROUNDTRIP_X = (
+    "-33/34 9 -44/3 25/6 23/20 -33/8 10 -16/25 -7/39 -39/8 "
+    "-1 -43/8 -45/43 7/50 47/45 41/45 -9/10 -7/39 22/49"
+)
+PRODUCT_RULE_HEAD = (
+    "-224577/41860 -1376289/230230 -258344577/5640635 9073514883/630139510"
+)
+
+# identity, patch, run, point, detail; each patch makes its sweep fail at
+# one instance, the first one it perturbs, at the default seed
+SWEEP_SITES = [
+    pytest.param(
+        "series/reciprocal-unit-product",
+        lambda mp: bump_last_coefficient(
+            mp, TruncatedSeries, "reciprocal", lambda a: a.order == 3
+        ),
+        lambda: verify._reciprocal_unit_product(verify.DEFAULT_SEED),
+        (0, 0, 3),
+        ("1 0 0 0", "1 0 0 -1"),
+        id="reciprocal-unit-product",
+    ),
+    pytest.param(
+        "series/derivative-product-rule",
+        lambda mp: bump_last_coefficient(mp, verify, "_product_rule_rhs"),
+        lambda: verify._product_rule_sweep(200, verify.DEFAULT_SEED),
+        (0, 0, 2),
+        (
+            f"{PRODUCT_RULE_HEAD} 2036942469/54794740",
+            f"{PRODUCT_RULE_HEAD} 2091737209/54794740",
+        ),
+        id="product-rule",
+    ),
+    pytest.param(
+        "series/derivative-quotient-rule-strict",
+        lambda mp: bump(mp, verify, "composition_sum", -1),
+        lambda: verify._quotient_rule_strict_sweep(200, verify.DEFAULT_SEED),
+        (0, 0, 2),
+        ("8012/3159", "9416/3159"),
+        id="quotient-rule-strict",
+    ),
+    pytest.param(
+        "series/derivative-quotient-rule-weighted",
+        lambda mp: bump(mp, verify, "weak_composition_sum", -1),
+        lambda: verify._quotient_rule_weighted_sweep(200, verify.DEFAULT_SEED),
+        (0, 0, 1),
+        ("160/729", "-740/729"),
+        id="quotient-rule-weighted",
+    ),
+    pytest.param(
+        "series/sequence-transform-roundtrip",
+        lambda mp: bump(mp, verify, "cameron_inverse", -1),
+        transform_roundtrip,
+        (0, 0, 20),
+        (f"{ROUNDTRIP_X} -17/21", f"{ROUNDTRIP_X} 4/21"),
+        id="transform-roundtrip",
+    ),
+    pytest.param(
+        "series/sequence-transform-roundtrip",
+        lambda mp: bump(mp, verify, "cameron_transform", 0, lambda x: not any(x)),
+        transform_roundtrip,
+        (0, 0, 20),
+        (" ".join(["0"] * 20), " ".join(["1"] + ["0"] * 19)),
+        id="transform-fixes-zero",
+    ),
+]
+
+
+@pytest.mark.parametrize("identity, patch, run, point, detail", SWEEP_SITES)
+def test_forced_sweep_mismatch_record(monkeypatch, identity, patch, run, point, detail):
+    patch(monkeypatch)
+    assert run() == VerificationReport(identity, point, "fail", detail)

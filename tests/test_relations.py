@@ -70,6 +70,25 @@ class TestChainEnumeration:
         with pytest.raises(ValueError):
             ChainIndex((3, -1))
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [
+            ((True,), "chain index i_0 must be an integer, not bool"),
+            ((2.5, 1), "chain index i_0 must be an integer, got float 2.5"),
+            ((3, F(1)), "chain index i_1 must be an integer, got Fraction"),
+            ((3, 2, False), "chain index i_2 must be an integer, not bool"),
+        ],
+    )
+    def test_indices_meet_the_integer_rule(self, indices, message):
+        with pytest.raises(TypeError, match=message):
+            ChainIndex(indices)
+
+    def test_order_and_sign_texts_are_kept(self):
+        with pytest.raises(ValueError, match=r"chain \(2, 2\) is not strictly"):
+            ChainIndex((2, 2))
+        with pytest.raises(ValueError, match="chain indices must be non-negative"):
+            ChainIndex((3, -1))
+
 
 class TestChainExpansion:
     def test_identity_over_grid(self):

@@ -8,8 +8,9 @@ tier 1: the ``verify`` lines and every ``compute`` line except the five
 slowest (``compositions`` at n = 20). ``golden.json`` is only read, never
 re-recorded. The source guards read ``src/hgcauchy`` with ``ast``: no module
 imports a name it does not use, the package's star re-exports never bind one
-name twice, and each input rule is stated in one place (caps and sizes in
-``errors``, flag bounds where ``cli`` declares the flags).
+name twice, each input rule is stated in one place (caps and sizes in
+``errors``, flag bounds where ``cli`` declares the flags), and fail records
+are built only in ``report``.
 """
 
 import ast
@@ -221,6 +222,22 @@ def test_cap_exceeded_is_raised_in_one_place():
     trees = _package_trees()
     counts = {name: len(_calls(tree, "CapExceeded")) for name, tree in trees.items()}
     assert {name: n for name, n in counts.items() if n} == {"errors.py": 1}
+
+
+def test_fail_records_are_built_in_one_place():
+    # report.check turns every comparison into a record; no other module
+    # builds a fail record itself
+    trees = _package_trees()
+    counts = {name: len(_calls(tree, "failed")) for name, tree in trees.items()}
+    assert {name: n for name, n in counts.items() if n} == {"report.py": 1}
+    importers = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "failed" for alias in node.names)
+    ]
+    assert importers == []
 
 
 def test_no_hand_rolled_negative_size_check():
