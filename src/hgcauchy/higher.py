@@ -276,7 +276,7 @@ def D_inversion(N: int, r: int, n_max: int) -> VerificationReport:
     _check_parameters(N, n_max, r)
     point = (N, r, n_max)
     d = _weights(N, r, n_max)
-    b = chor_via_recurrence(N, r, n_max).normalized()[1:]
+    b = _recurrence_table(N, r, n_max, lambda *_: d).normalized()[1:]
     dets = determinant_sequence(1, b)
     gamma = unit_lower_toeplitz_inverse(b)
     for half in (

@@ -5,12 +5,16 @@ A series always carries its truncation order, and a binary operation truncates
 its result to the smaller order of the two operands.
 
 Products and reciprocals go through two kernels, :func:`_convolve` and
-:func:`toeplitz_solve`. Both scale their inputs once to integers over a
-common denominator, sum every dot product in plain integers, and reduce once
-per output coefficient (delayed normalization), instead of paying a gcd for
-each term the way a running ``Fraction`` sum does. Every triangular Toeplitz
-solve in the package (series reciprocal, determinant recurrence, band
-inversion, the recurrence routes) is a call to :func:`toeplitz_solve`.
+:func:`toeplitz_solve`. Each scales its left operand (the product's ``a``,
+the solve's input) once to integers over their common denominator, and keeps
+the other side (the product's ``b``, the solve's outputs) as integers over
+the running lcm of its denominators. Every dot product is then one Horner
+sum in plain integers (:func:`_horner`), reduced once per output coefficient
+(delayed normalization), instead of paying a gcd for each term the way a
+running ``Fraction`` sum does. A term is only as wide as the denominators
+met so far. Every triangular Toeplitz solve in the package (series
+reciprocal, determinant recurrence, band inversion, the recurrence routes)
+is a call to :func:`toeplitz_solve`.
 
 The divided-power derivative implemented here sends x^m to C(m, n) x^(m-n)
 (no factorial in front), which is the convenient normalization when formulas
@@ -23,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import OrderExceeded, ZeroConstantTerm, _integer, _size
@@ -156,18 +159,46 @@ def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _over_running_lcm(value: Fraction, L: int) -> tuple[int, int, int]:
+    """Numerator Z, growth g and denominator L*g with value == Z / (L*g),
+    where L*g = lcm(L, denominator of ``value``)."""
+    den = value.denominator
+    grow = den // gcd(L, den)
+    L *= grow
+    return value.numerator * (L // den), grow, L
+
+
+def _horner(grow: Iterable[int], Z: Iterable[int], coeffs: Iterable[int]) -> int:
+    """acc = acc * grow[j] + coeffs[j] * Z[j] over the shortest of the three:
+    the integer numerator of sum_j coeffs[j] * Z[j] / M_j over the last M_j,
+    when each Z[j] / M_j is kept over a running lcm M_j = M_(j-1) * grow[j]."""
+    acc = 0
+    for g, z, coeff in zip(grow, Z, coeffs):
+        acc = acc * g + coeff * z
+    return acc
+
+
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     """Coefficients 0 .. min(len(a), len(b)) - 1 of the product of the series
     with coefficients ``a`` and ``b``.
 
-    Each coefficient is an integer dot product over the denominator Da*Db,
-    reduced once.
+    ``a`` is scaled once to integers A over Da = lcm(denominators). ``b`` is
+    kept over its running lcm: b_j = Z_j / M_j, M_j the lcm of the
+    denominators of b_0 .. b_j, with growth g_j = M_j / M_(j-1). Coefficient
+    k is the Horner sum acc = acc * g_j + A[k-j] * Z_j for j = 0 .. k, over
+    Da * M_k, reduced once. Each term is only as wide as the denominators of
+    b met so far, not as wide as those of all of b.
     """
     size = min(len(a), len(b))
     A, da = _scaled(a[:size])
-    B, db = _scaled(b[:size])
-    den = da * db
-    return [Fraction(sum(map(mul, A[: k + 1], B[k::-1])), den) for k in range(size)]
+    Z, grow, M = [], [], []
+    L = 1
+    for v in b[:size]:
+        z, g, L = _over_running_lcm(v, L)
+        Z.append(z)
+        grow.append(g)
+        M.append(L)
+    return [Fraction(_horner(grow, Z, A[k::-1]), da * M[k]) for k in range(size)]
 
 
 def toeplitz_solve(a: Sequence[Fraction]) -> list[Fraction]:
@@ -179,29 +210,24 @@ def toeplitz_solve(a: Sequence[Fraction]) -> list[Fraction]:
     Output k is kept as an integer numerator Y[k] over L_k, the running lcm
     of the output denominators, with the growth factor m[k] = L_k / L_(k-1).
     A dot product over L_(k-1) then needs no division: in Horner form,
-    acc = acc * m[i] + A[k-i] * Y[i] for i = 0 .. k-1. One Fraction, and so
-    one gcd of large integers, is built per coefficient.
+    acc = acc * m[i] + A[k-i] * Y[i] for i = 0 .. k-1 (:func:`_horner`, the
+    step of the products too). One Fraction, and so one gcd of large
+    integers, is built per coefficient.
     """
     if not a:
         return []
     A, da = _scaled(a)
     a0 = A[0]
-    first = Fraction(da, a0)
-    out = [first]
-    Y = [first.numerator]
-    m = [1]
-    L = first.denominator
-    for k in range(1, len(A)):
-        acc = 0
-        for grow, y, coeff in zip(m, Y, A[k:0:-1]):
-            acc = acc * grow + coeff * y
-        value = Fraction(-acc, a0 * L)
+    out = []
+    Y, m = [], []
+    L = 1
+    for k in range(len(A)):
+        rhs = da if k == 0 else -_horner(m, Y, A[k:0:-1])
+        value = Fraction(rhs, a0 * L)
         out.append(value)
-        g = gcd(L, value.denominator)
-        Y.append(value.numerator * (L // g))
-        grow = value.denominator // g
+        y, grow, L = _over_running_lcm(value, L)
+        Y.append(y)
         m.append(grow)
-        L *= grow
     return out
 
 

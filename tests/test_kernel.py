@@ -4,6 +4,7 @@ term-by-term Fraction loops in ``oracles`` exactly."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -151,3 +152,65 @@ class TestEdgeCases:
             TruncatedSeries((F(0), F(1))).reciprocal()
         with pytest.raises(ZeroDivisionError):
             toeplitz_solve([F(0), F(1)])
+
+
+def running_lcm_growth(values):
+    """g_j = M_j / M_(j-1), M_j the lcm of the denominators of values[0..j]."""
+    growth, M = [], 1
+    for v in values:
+        grow = v.denominator // gcd(M, v.denominator)
+        growth.append(grow)
+        M *= grow
+    return growth
+
+
+class TestProductOverRunningLcm:
+    """Products whose right operand is kept over the running lcm of its own
+    denominators: each shape exercises one part of the Horner sum."""
+
+    def test_deep_tables_shape(self):
+        # the normalized first-order table at N = 22, n = 120, as the
+        # convolution route powers it: squared on the same object, then the
+        # square times itself
+        b = naive_reciprocal(gauss_series(22, 120))
+        assert all(g > 1 for g in running_lcm_growth(b)[1:])
+        s = TruncatedSeries(tuple(b))
+        square = s * s
+        assert list(square.coefficients) == naive_product(b, b)
+        fourth = square * square
+        assert list(fourth.coefficients) == naive_product(
+            list(square.coefficients), list(square.coefficients)
+        )
+
+    def test_non_monotone_right_denominators(self):
+        b = [
+            F(3, 7), F(-5, 2**61 - 1), F(1), F(0), F(-4), F(2, 7), F(0),
+            F(-1, 9), F(6), F(7, 3), F(-1), F(0), F(5, 2**61 - 1), F(11, 27),
+        ]
+        assert {g == 1 for g in running_lcm_growth(b)} == {True, False}
+        rng = random.Random(SEED + 3)
+        for a in (
+            [F(1)] * len(b),
+            gauss_series(5, len(b) - 1),
+            list(random_coefficients(rng, len(b) - 1)),
+        ):
+            s, t = TruncatedSeries(tuple(a)), TruncatedSeries(tuple(b))
+            assert list((s * t).coefficients) == naive_product(a, b)
+            assert list((t * s).coefficients) == naive_product(b, a)
+
+    def test_unequal_lengths_both_orders(self):
+        rng = random.Random(SEED + 4)
+        for short, long in ((0, 9), (3, 17), (12, 40)):
+            a = list(random_coefficients(rng, short))
+            b = naive_reciprocal(gauss_series(3, long))
+            s, t = TruncatedSeries(tuple(a)), TruncatedSeries(tuple(b))
+            assert (s * t).order == (t * s).order == short
+            assert list((s * t).coefficients) == naive_product(a, b)
+            assert list((t * s).coefficients) == naive_product(b, a)
+
+    def test_zero_constant_term_either_side(self):
+        a = [F(0), F(2, 3), F(-1, 4), F(0), F(5, 6), F(1, 12)]
+        b = naive_reciprocal(gauss_series(7, 5))
+        for left, right in ((a, b), (b, a), (a, a)):
+            s, t = TruncatedSeries(tuple(left)), TruncatedSeries(tuple(right))
+            assert list((s * t).coefficients) == naive_product(left, right)

@@ -108,22 +108,30 @@ def test_every_tracer_target_resolves():
     assert missing == []
 
 
+def _run_traced(body):
+    """Run ``body`` in a fresh interpreter with ``bench/tracer.py`` installed
+    as ``t``, and return the JSON it prints."""
+    src = BENCH.parent / "src"
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path[:0] = [{str(src)!r}, {str(BENCH)!r}]\n"
+        "import hgcauchy.cli, tracer\n"
+        "t = tracer.Tracer(); t.install()\n"
+    ) + body
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
 def test_trudi_time_is_traced_under_hessenberg():
     # the published per-layer metric hessenberg.self_s sums the hessenberg
     # targets, so the Trudi walks must run inside a traced hessenberg function
-    src = BENCH.parent / "src"
-    script = (
-        f"import json, sys; sys.path[:0] = [{str(src)!r}, {str(BENCH)!r}]\n"
-        "import hgcauchy.cli, tracer\n"
-        "t = tracer.Tracer(); t.install()\n"
+    report = _run_traced(
         "from hgcauchy import cauchy, higher\n"
         "cauchy.c_via_trudi(3, 20); higher.chor_via_trudi(3, 2, 20)\n"
         "print(json.dumps(t.report()))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
-    )
-    report = json.loads(out.stdout)
     stats = report["metrics"]
     assert report["missing"] == []
     assert stats["hessenberg.trudi_sum.calls"] == 2 * 21
@@ -135,12 +143,7 @@ def test_every_route_of_the_table_is_traced():
     # the tracer rebinds module attributes only, so a route table that held
     # the route functions themselves would run them unwrapped and the
     # per-layer metrics would read 0
-    src = BENCH.parent / "src"
-    script = (
-        "import contextlib, io, json, sys\n"
-        f"sys.path[:0] = [{str(src)!r}, {str(BENCH)!r}]\n"
-        "import hgcauchy.cli, tracer\n"
-        "t = tracer.Tracer(); t.install()\n"
+    report = _run_traced(
         "from hgcauchy import cli, verify\n"
         "calls = lambda: {k: v for k, v in t.stats.items() if k.endswith('.calls')}\n"
         "steps = {}\n"
@@ -156,10 +159,6 @@ def test_every_route_of_the_table_is_traced():
         "    steps[suite] = [k for k, v in calls().items() if v > before[k]]\n"
         "print(json.dumps({'steps': steps, 'missing': t.report()['missing']}))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
-    )
-    report = json.loads(out.stdout)
     assert report["missing"] == []
     steps = report["steps"]
     traced = {
@@ -177,6 +176,25 @@ def test_every_route_of_the_table_is_traced():
         assert counter in steps["core"], method
     for method in ("recurrence", "determinant", "trudi", "explicit", "convolution"):
         assert traced[method] in steps["higher"], method
+
+
+@pytest.mark.parametrize("method", ("convolution", "recurrence"))
+def test_order_r_products_run_through_traced_mul(method):
+    # series.power and series.mul are published per-layer metrics of the
+    # order-r workloads; a power that stopped calling __mul__ would leave
+    # series.mul.calls at 0 there
+    before, after = _run_traced(
+        "from hgcauchy import cli\n"
+        "keys = ('series.power.calls', 'series.mul.calls')\n"
+        "before = [t.stats[k] for k in keys]\n"
+        "argv = ['compute', '--N', '3', '--r', '2', '--n-max', '6',"
+        f" '--method', {method!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(json.dumps([before, [t.stats[k] for k in keys]]))\n"
+    )
+    assert after[0] > before[0]
+    assert after[1] > before[1]
 
 
 def _module_names(tree):
