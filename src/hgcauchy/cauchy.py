@@ -37,13 +37,12 @@ The classical validators at the end pin the machinery to well-known sequences
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import factorial
-from typing import Callable
 
 from .combinat import STRICT_COMPOSITION_CAP, composition_sum, multinomial
-from .errors import _integer, _size, _within_cap
+from .errors import _integer, _Record, _size, _within_cap
 from .hessenberg import (
     PARTITION_CAP,
     determinant_sequence,
@@ -95,31 +94,34 @@ def _ratios(N: int, r: int, n_max: int) -> list[Fraction]:
     return [Fraction(N, N + k) for k in range(n_max + 1)]
 
 
-@dataclass(frozen=True)
-class CauchyTable:
+class CauchyTable(_Record):
     """Exact values c(N, n) for n = 0 .. n_max at order r.
 
     ``method`` records which route produced the table; the values themselves
     are method-independent and the verification suites enforce that.
     """
 
-    N: int
-    r: int
-    n_max: int
-    values: tuple[Fraction, ...]
-    method: str
+    __slots__ = ("N", "r", "n_max", "values", "method")
 
-    def __post_init__(self):
-        _check_parameters(self.N, self.n_max, self.r)
-        object.__setattr__(self, "values", tuple(map(_fraction, self.values)))
-        if len(self.values) != self.n_max + 1:
+    def __init__(
+        self,
+        N: int,
+        r: int,
+        n_max: int,
+        values: Iterable[Fraction | int],
+        method: str,
+    ):
+        _check_parameters(N, n_max, r)
+        values = tuple(map(_fraction, values))
+        if len(values) != n_max + 1:
             raise ValueError("values must list n = 0 .. n_max")
-        if self.values[0] != 1:
+        if values[0] != 1:
             raise ValueError("index 0 must be 1")
-        if self.n_max >= 1 and self.values[1] != Fraction(self.r * self.N, self.N + 1):
+        if n_max >= 1 and values[1] != Fraction(r * N, N + 1):
             raise ValueError("index 1 must be r*N/(N+1)")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        self._assign(N, r, n_max, values, method)
 
     @classmethod
     def from_normalized(cls, N: int, r: int, normalized, method: str) -> "CauchyTable":

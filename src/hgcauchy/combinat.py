@@ -13,9 +13,9 @@ compositions one tuple at a time, for naive reference sums.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
 
 from .errors import _size
 from .series import _scaled
@@ -123,7 +123,9 @@ def weak_composition_sum(w: Sequence[Fraction], total: int, parts: int) -> list[
 
 
 def multinomial(parts: Sequence[int]) -> int:
-    """(t_1 + ... + t_m)! / (t_1! ... t_m!)."""
+    """(t_1 + ... + t_m)! / (t_1! ... t_m!); each part meets the
+    :func:`~hgcauchy.errors._size` rule."""
+    parts = [_size(t, f"multinomial part t_{k}") for k, t in enumerate(parts, 1)]
     out = factorial(sum(parts))
     for t in parts:
         out //= factorial(t)

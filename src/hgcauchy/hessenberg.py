@@ -19,11 +19,10 @@ matrices. The routes are cross-checked in the verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
-from .errors import _integer, _size, _within_cap
+from .errors import _integer, _Record, _size, _within_cap
 from .report import VerificationReport, check
 from .series import _fraction, _scaled, toeplitz_solve
 
@@ -43,18 +42,15 @@ __all__ = [
 PARTITION_CAP = 24
 
 
-@dataclass(frozen=True)
-class HessenbergSpec:
+class HessenbergSpec(_Record):
     """Size-n spec: entry (i, j) is band[i-j] for i >= j (0-indexed offsets
     into ``band``, so ``band[0]`` is the main diagonal), ``super_entry`` for
     j = i + 1, and 0 further right."""
 
-    super_entry: Fraction
-    band: tuple[Fraction, ...]
+    __slots__ = ("super_entry", "band")
 
-    def __post_init__(self):
-        object.__setattr__(self, "super_entry", _fraction(self.super_entry))
-        object.__setattr__(self, "band", tuple(map(_fraction, self.band)))
+    def __init__(self, super_entry: Fraction | int, band: Iterable[Fraction | int]):
+        self._assign(_fraction(super_entry), tuple(map(_fraction, band)))
 
     @property
     def n(self) -> int:
@@ -86,11 +82,11 @@ def determinant_sequence(
     D(x) (1 - sum_l (-a_0)^(l-1) a_l x^l) = 1, so d is one triangular
     Toeplitz solve.
     """
-    neg_super = -Fraction(super_entry)
+    neg_super = -_fraction(super_entry)
     sign_pow = Fraction(1)
     coefficients = [sign_pow]
     for b in band:
-        coefficients.append(-sign_pow * Fraction(b))
+        coefficients.append(-sign_pow * _fraction(b))
         sign_pow *= neg_super
     return toeplitz_solve(coefficients)
 

@@ -22,10 +22,10 @@ that imports both route families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import comb
-from typing import Callable, NamedTuple
 
 from .cauchy import (
     CauchyTable,
@@ -39,7 +39,7 @@ from .cauchy import (
     c_via_series,
 )
 from .combinat import STRICT_COMPOSITION_CAP, weak_composition_sum
-from .errors import _integer
+from .errors import _integer, _Record
 from .hessenberg import (
     PARTITION_CAP,
     determinant_sequence,
@@ -65,24 +65,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(_Record):
     """Exact weights D_r(e) for e = 0 .. e_max at a fixed (N, r)."""
 
-    N: int
-    r: int
-    e_max: int
-    values: tuple[Fraction, ...]
+    __slots__ = ("N", "r", "e_max", "values")
 
-    def __post_init__(self):
-        _check_parameters(self.N, self.e_max, self.r)
-        object.__setattr__(self, "values", tuple(map(_fraction, self.values)))
-        if len(self.values) != self.e_max + 1:
+    def __init__(self, N: int, r: int, e_max: int, values: Iterable[Fraction | int]):
+        _check_parameters(N, e_max, r)
+        values = tuple(map(_fraction, values))
+        if len(values) != e_max + 1:
             raise ValueError("values must list e = 0 .. e_max")
-        if self.values[0] != 1:
+        if values[0] != 1:
             raise ValueError("D_r(0) must be 1")
-        if self.e_max >= 1 and self.values[1] != Fraction(self.r * self.N, self.N + 1):
+        if e_max >= 1 and values[1] != Fraction(r * N, N + 1):
             raise ValueError("D_r(1) must be r*N/(N+1)")
+        self._assign(N, r, e_max, values)
 
     def weight(self, e: int) -> Fraction:
         return self.values[e]
@@ -236,12 +233,10 @@ def chor_via_convolution(N: int, r: int, n_max: int) -> CauchyTable:
     return CauchyTable.from_normalized(N, r, powered.coefficients, "convolution")
 
 
-class Route(NamedTuple):
-    """One ``--method``: its route, its safety cap, whether it takes r > 1."""
-
-    compute: Callable[[int, int, int, int | None], CauchyTable]
-    cap: int | None
-    any_order: bool
+Route = namedtuple("Route", ("compute", "cap", "any_order"))
+Route.__doc__ = """One ``--method``: its route ``compute(N, r, n_max, cap)``
+returning a :class:`~hgcauchy.cauchy.CauchyTable`, its safety cap (an int or
+None) and whether it takes r > 1."""
 
 
 # method -> Route in the order of cauchy.METHODS. A route is called as

@@ -24,15 +24,14 @@ head n <= n_max through 2^n_max - 1 prefixes; hence the safety cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterator
 
 from .cauchy import c_via_series
 from .combinat import composition_sum
-from .errors import _integer, _size, _within_cap
+from .errors import _integer, _Record, _size, _within_cap
 from .report import VerificationReport, check
 
 __all__ = [
@@ -49,22 +48,22 @@ __all__ = [
 CHAIN_CAP = 14
 
 
-@dataclass(frozen=True)
-class ChainIndex:
+class ChainIndex(_Record):
     """A strictly decreasing index chain (i_0, i_1, .., i_m), i_m >= 0."""
 
-    indices: tuple[int, ...]
+    __slots__ = ("indices",)
 
-    def __post_init__(self):
-        if not self.indices:
+    def __init__(self, indices: tuple[int, ...]):
+        if not indices:
             raise ValueError("a chain holds at least its head index")
-        for k, i in enumerate(self.indices):
+        for k, i in enumerate(indices):
             _integer(i, f"chain index i_{k}")
-        for a, b in zip(self.indices, self.indices[1:]):
+        for a, b in zip(indices, indices[1:]):
             if a <= b:
-                raise ValueError(f"chain {self.indices} is not strictly decreasing")
-        if self.indices[-1] < 0:
+                raise ValueError(f"chain {indices} is not strictly decreasing")
+        if indices[-1] < 0:
             raise ValueError("chain indices must be non-negative")
+        self._assign(indices)
 
     @property
     def head(self) -> int:

@@ -23,26 +23,30 @@ On an erratum-noted record the same slot reads (as printed, corrected), or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .errors import _Record
 
 __all__ = ["VerificationReport", "check", "passed", "failed", "erratum"]
 
 _STATUSES = ("pass", "fail", "erratum-noted")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    parameter_point: tuple[int, int, int]
-    status: str
-    detail: tuple[str, str] | None = None
+class VerificationReport(_Record):
+    __slots__ = ("identity", "parameter_point", "status", "detail")
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.status == "fail" and self.detail is None:
+    def __init__(
+        self,
+        identity: str,
+        parameter_point: tuple[int, int, int],
+        status: str,
+        detail: tuple[str, str] | None = None,
+    ):
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        if status == "fail" and detail is None:
             raise ValueError("a fail record must carry (expected, actual)")
+        self._assign(identity, parameter_point, status, detail)
 
     @property
     def ok(self) -> bool:

@@ -24,12 +24,11 @@ order i and evaluating at 0 reads off coefficient i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
 
-from .errors import OrderExceeded, ZeroConstantTerm, _integer, _size
+from .errors import OrderExceeded, ZeroConstantTerm, _integer, _Record, _size
 
 __all__ = [
     "TruncatedSeries",
@@ -39,18 +38,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Coefficients c_0 .. c_order of a series known modulo x^(order+1)."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        if not self.coefficients:
+    def __init__(self, coefficients: Iterable[Fraction | int]):
+        coefficients = tuple(map(_fraction, coefficients))
+        if not coefficients:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(
-            self, "coefficients", tuple(map(_fraction, self.coefficients))
-        )
+        self._assign(coefficients)
 
     @classmethod
     def from_coefficients(
@@ -88,6 +85,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.coefficients[: order + 1])
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         order = min(self.order, other.order)
         return TruncatedSeries(
             tuple(
@@ -105,7 +104,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return TruncatedSeries(_convolve(self.coefficients, other.coefficients))
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return TruncatedSeries(tuple(c * other for c in self.coefficients))
         return NotImplemented
 
@@ -149,8 +148,16 @@ class TruncatedSeries:
 
 
 def _fraction(value) -> Fraction:
-    """``value`` if it is a Fraction already, else ``Fraction(value)``."""
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """``value`` as a Fraction: the one coercion of exact values. Only an int
+    (not a bool) or a Fraction is exact; anything else raises TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(
+        f"an exact value must be an int or a Fraction, "
+        f"got {type(value).__name__} {value!r}"
+    )
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -245,7 +252,7 @@ def cameron_transform(x_seq: Sequence[Fraction]) -> list[Fraction]:
 
     ``x_seq`` lists x_1 .. x_m; the result lists z_1 .. z_m.
     """
-    base = TruncatedSeries(tuple([Fraction(1)] + [-Fraction(v) for v in x_seq]))
+    base = TruncatedSeries(tuple([Fraction(1)] + [-_fraction(v) for v in x_seq]))
     return list(base.reciprocal().coefficients[1:])
 
 

@@ -15,11 +15,11 @@ carrying (as-printed value, corrected value) when the two differ numerically.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
 from operator import add, mul
-from typing import Iterable, Sequence
 
 from . import cauchy, higher, relations
 from .combinat import composition_sum, weak_composition_sum

@@ -108,6 +108,21 @@ def test_multinomial_values():
     assert multinomial((2, 1, 1)) == 12
 
 
+@pytest.mark.parametrize(
+    "parts, error, message",
+    [
+        ([True, 2], TypeError, "multinomial part t_1 must be an integer, not bool"),
+        ([2, 1.5], TypeError, "multinomial part t_2 must be an integer, got float"),
+        ([-1], ValueError, "multinomial part t_1 must be non-negative, got -1"),
+        ([1, 2, -3], ValueError, "multinomial part t_3 must be non-negative"),
+    ],
+    ids=["bool", "float", "negative", "negative-third"],
+)
+def test_multinomial_names_the_bad_part(parts, error, message):
+    with pytest.raises(error, match=message):
+        multinomial(parts)
+
+
 
 @pytest.mark.parametrize(
     "call, name",

@@ -107,6 +107,29 @@ class TestArithmetic:
         assert a.power(0) == TruncatedSeries.one(6)
 
 
+class TestOperandTypes:
+    def test_adding_a_non_series_is_a_type_error(self):
+        a = series(1, 2)
+        for other in (1, F(1, 2), None, (1, 2)):
+            with pytest.raises(TypeError):
+                a + other
+            with pytest.raises(TypeError):
+                other + a
+            with pytest.raises(TypeError):
+                a - other
+        assert a.__add__(1) is NotImplemented
+
+    def test_bool_is_not_a_scalar(self):
+        a = series(1, 2)
+        for flag in (True, False):
+            with pytest.raises(TypeError):
+                a * flag
+            with pytest.raises(TypeError):
+                flag * a
+        assert a.__mul__(True) is NotImplemented
+        assert (a * 1).coefficients == a.coefficients
+
+
 class TestReciprocal:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroConstantTerm):

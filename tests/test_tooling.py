@@ -9,8 +9,10 @@ slowest (``compositions`` at n = 20). ``golden.json`` is only read, never
 re-recorded. The source guards read ``src/hgcauchy`` with ``ast``: no module
 imports a name it does not use, the package's star re-exports never bind one
 name twice, each input rule is stated in one place (caps and sizes in
-``errors``, flag bounds where ``cli`` declares the flags), and fail records
-are built only in ``report``.
+``errors``, flag bounds where ``cli`` declares the flags), fail records
+are built only in ``report``, and no module imports ``dataclasses`` or
+``typing``, so a CLI process loads neither (nor ``inspect``, which
+``dataclasses`` pulls in).
 """
 
 import ast
@@ -20,6 +22,7 @@ import importlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +259,41 @@ def test_fail_records_are_built_in_one_place():
         and any(alias.name == "failed" for alias in node.names)
     ]
     assert importers == []
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # the records are slotted classes over errors._Record and annotations
+    # come from collections.abc; each of the two cost every CLI process
+    # milliseconds of import
+    banned = {"dataclasses", "typing"}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        and any(a.name.partition(".")[0] in banned for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").partition(".")[0] in banned
+    ]
+    assert found == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: a site .pth file may import typing before the package does
+    script = (
+        "import json, sys\n"
+        "import hgcauchy.cli\n"
+        "print(json.dumps(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert json.loads(out.stdout) == []
 
 
 def test_no_hand_rolled_negative_size_check():
