@@ -22,12 +22,13 @@ each runs, its cap and whether it takes r > 1. The seven run four
 computations, each written once below over bands d_0 .. d_n (N/(N+k) here,
 D_r(k) at order r) and scaled once by :meth:`CauchyTable.from_normalized`:
 the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`
-(``series``, ``recurrence``, ``determinant``; their agreement checks each
-set-up, not the solve), the composition walk (``compositions``,
-``explicit``), the Trudi walk (``trudi``) and, in ``higher``, the r-th power
-of the first-order series (``convolution``). The two walks share no
-arithmetic with the solve; with the slow reference loops of the tests and
-the benchmark they are the independent cross-checks. ``c_via_recurrence``,
+(``series``, ``recurrence``, ``determinant``), the composition walk
+(``compositions``, ``explicit``), the Trudi walk (``trudi``) and, in
+``higher``, the r-th power of the first-order series (``convolution``).
+The two walks share no arithmetic with the solve, so at r = 1 the
+``core/method-agreement`` record of :mod:`hgcauchy.verify` compares one
+route of each: ``series``, ``compositions`` and ``trudi``. The routes that
+take r > 1 are compared in ``higher``, from r = 1 up. ``c_via_recurrence``,
 ``c_via_determinant``, ``c_via_compositions`` and ``c_via_trudi`` stay public
 as one-line r = 1 entries.
 

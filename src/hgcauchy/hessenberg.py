@@ -204,7 +204,7 @@ def unit_lower_toeplitz_inverse(
 
     ``n`` defaults to the band count and otherwise must match it.
     """
-    a = [Fraction(v) for v in alpha]
+    a = list(map(_fraction, alpha))
     if n is not None and _integer(n, "n") != len(a):
         raise ValueError(f"alpha has {len(a)} bands, n = {n} given")
     return toeplitz_solve([Fraction(1)] + a)[1:]
@@ -224,9 +224,9 @@ def determinant_inversion_roundtrip(
     """
     n_max = _size(n_max, "n_max")
     if callable(rule):
-        values = [Fraction(rule(k)) for k in range(1, n_max + 1)]
+        values = [_fraction(rule(k)) for k in range(1, n_max + 1)]
     else:
-        values = [Fraction(v) for v in rule[:n_max]]
+        values = list(map(_fraction, rule[:n_max]))
         if len(values) < n_max:
             raise ValueError(f"rule supplies {len(values)} terms, need {n_max}")
     if point is None:

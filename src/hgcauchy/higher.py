@@ -15,9 +15,12 @@ first-order table: ``recurrence`` and ``determinant`` reach the Toeplitz
 solve, ``explicit`` the composition walk (at r = 1 the ``compositions``
 route) and ``trudi`` the Trudi walk. ``convolution`` raises the first-order
 table to the r-th power and never touches the weights, so it checks
-(1/F_N)^r against the solve of F_N^r the other way round. :data:`ROUTES`,
-the one table of the seven ``--method`` names, lives here, in the one module
-that imports both route families.
+(1/F_N)^r against the solve of F_N^r the other way round. The
+``higher/method-agreement`` record of :mod:`hgcauchy.verify` compares these
+five at every r from 1, against ``recurrence``; it is the one record that
+compares ``determinant``, which at r = 1 reruns the solve of ``series``.
+:data:`ROUTES`, the one table of the seven ``--method`` names, lives here,
+in the one module that imports both route families.
 """
 
 from __future__ import annotations

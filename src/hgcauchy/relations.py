@@ -24,7 +24,7 @@ head n <= n_max through 2^n_max - 1 prefixes; hence the safety cap.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -53,7 +53,8 @@ class ChainIndex(_Record):
 
     __slots__ = ("indices",)
 
-    def __init__(self, indices: tuple[int, ...]):
+    def __init__(self, indices: Iterable[int]):
+        indices = tuple(indices)
         if not indices:
             raise ValueError("a chain holds at least its head index")
         for k, i in enumerate(indices):

@@ -38,13 +38,20 @@ class VerificationReport(_Record):
     def __init__(
         self,
         identity: str,
-        parameter_point: tuple[int, int, int],
+        parameter_point: Iterable[int],
         status: str,
-        detail: tuple[str, str] | None = None,
+        detail: Iterable[str] | None = None,
     ):
+        parameter_point = tuple(parameter_point)
+        if len(parameter_point) != 3:
+            raise ValueError(
+                f"parameter_point must be (N, r, n), got {parameter_point}"
+            )
         if status not in _STATUSES:
             raise ValueError(f"unknown status {status!r}")
-        if status == "fail" and detail is None:
+        if detail is not None:
+            detail = tuple(detail)
+        elif status == "fail":
             raise ValueError("a fail record must carry (expected, actual)")
         self._assign(identity, parameter_point, status, detail)
 

@@ -120,13 +120,17 @@ class TruncatedSeries(_Record):
         return TruncatedSeries(tuple(toeplitz_solve(self.coefficients)))
 
     def power(self, exponent: int) -> "TruncatedSeries":
-        """Repeated product; ``exponent`` must be a non-negative integer."""
+        """The ``exponent``-th power, a non-negative integer, by left-to-right
+        square-and-multiply: at most 2 log2(exponent) products, each through
+        ``__mul__``. Exponents 2 and 3 take s*s and (s*s)*s."""
         _size(exponent, "exponent")
         if exponent == 0:
             return TruncatedSeries.one(self.order)
         result = self
-        for _ in range(exponent - 1):
-            result = result * self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def ht_derivative(self, n: int) -> "TruncatedSeries":

@@ -6,6 +6,14 @@ what the command line drives. Reports appear in a fixed order and random
 sweeps draw from a fixed documented seed, so two runs with equal flags emit
 byte-identical output.
 
+The two method-agreement records compare computations, not route names
+(:func:`_method_agreement`). ``core/method-agreement`` compares the three
+computations of c(N, n) at r = 1: the triangular solve (``series``), the
+composition walk (``compositions``) and the Trudi walk (``trudi``); the
+other routes rerun one of these at r = 1. ``higher/method-agreement``
+compares every route that takes r > 1 against ``recurrence``, at every r
+from 1, so that ``verify --suite all`` still runs each ``--method`` at r = 1.
+
 The erratum-noted records: four identities fail as literally printed in the
 source material this package was transcribed from, while their corrected
 forms verify exactly. Each suite that owns one emits exactly one such record,
@@ -15,7 +23,7 @@ carrying (as-printed value, corrected value) when the two differ numerically.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
@@ -70,52 +78,52 @@ def _random_series(
     return TruncatedSeries(tuple(coeffs))
 
 
-def _agreement(
-    identity: str,
-    reference: cauchy.CauchyTable,
-    others: Iterable[cauchy.CauchyTable],
-) -> VerificationReport:
-    """Prefix-compare every table against the reference; the enumeration
-    methods may stop at their safety cap and so may be shorter."""
-    return check(
+# the three computations of c(N, n) at r = 1, the solve first: the other
+# routes at r = 1 rerun one of these on equal bands (see hgcauchy.cauchy)
+_FIRST_ORDER_METHODS = ("series", "compositions", "trudi")
+# every route that takes r > 1, in ROUTES order, ``recurrence`` first
+_ORDER_R_METHODS = tuple(m for m, route in higher.ROUTES.items() if route.any_order)
+
+
+def _method_agreement(
+    identity: str, N: int, r: int, n_max: int, capped: bool, methods: Sequence[str]
+) -> tuple[VerificationReport, dict[str, cauchy.CauchyTable]]:
+    """The table of each route in ``methods`` at (N, r), and the record of
+    every table prefix-compared against the first one's. When capped, an
+    enumeration route stops at its safety cap, so its table may be shorter."""
+    tables = {}
+    for method in methods:
+        route = higher.ROUTES[method]
+        cap = route.cap if capped else None
+        top = n_max if cap is None else min(n_max, cap)
+        tables[method] = route.compute(N, r, top, cap)
+    reference, *others = tables.values()
+    record = check(
         identity,
-        (reference.N, reference.r, reference.n_max),
+        (N, r, reference.n_max),
         (
             (n, reference.values[n], other.values[n])
             for other in others
             for n in range(min(reference.n_max, other.n_max) + 1)
         ),
     )
-
-
-def _route_tables(
-    N: int, r: int, n_max: int, capped: bool, order_r_only: bool
-) -> dict[str, cauchy.CauchyTable]:
-    """Each route's table at (N, r), or only the routes that take r > 1;
-    when capped, an enumeration route stops at its safety cap."""
-    tables = {}
-    for method, route in higher.ROUTES.items():
-        if order_r_only and not route.any_order:
-            continue
-        cap = route.cap if capped else None
-        top = n_max if cap is None else min(n_max, cap)
-        tables[method] = route.compute(N, r, top, cap)
-    return tables
+    return record, tables
 
 
 def core_suite(
     N_max: int = 4, r_max: int = 3, n_max: int = 12, capped: bool = True
 ) -> list[VerificationReport]:
-    """First-order identities: every route at r = 1 against ``series``, the
-    defining residual, closed forms, classical specializations, and the
-    printed-variant erratum."""
+    """First-order identities: the composition and Trudi walks against the
+    solve (``series``), the defining residual, closed forms, classical
+    specializations, and the printed-variant erratum."""
     records = []
     for N in range(1, N_max + 1):
-        others = _route_tables(N, 1, n_max, capped, order_r_only=False)
-        ref = others.pop("series")
-        records.append(_agreement("core/method-agreement", ref, others.values()))
-        records.append(_defining_residual(ref))
-        records.append(_core_closed_forms(ref))
+        record, tables = _method_agreement(
+            "core/method-agreement", N, 1, n_max, capped, _FIRST_ORDER_METHODS
+        )
+        records.append(record)
+        records.append(_defining_residual(tables["series"]))
+        records.append(_core_closed_forms(tables["series"]))
 
     records.append(_second_kind_normalization(n_max))
     records.append(_bernoulli_record())
@@ -211,14 +219,15 @@ def higher_suite(
     records = []
     for N in range(1, N_max + 1):
         for r in range(1, r_max + 1):
-            others = _route_tables(N, r, n_max, capped, order_r_only=True)
-            ref = others.pop("recurrence")
+            record, tables = _method_agreement(
+                "higher/method-agreement", N, r, n_max, capped, _ORDER_R_METHODS
+            )
             brute = higher.weight_D_by_enumeration(N, r, min(n_max, 10))
-            records.append(_agreement("higher/method-agreement", ref, others.values()))
-            records.append(_weak_composition_residual(others["convolution"], brute))
+            records.append(record)
+            records.append(_weak_composition_residual(tables["convolution"], brute))
             records.append(_weight_enumeration(N, r, brute))
             records.append(_weight_closed_forms(N, r))
-            records.append(_order_closed_forms(ref))
+            records.append(_order_closed_forms(tables["recurrence"]))
 
     # the worked examples of the power identity print exponents r+1 and N-1
     # where the identity itself forces r and r-1; numerically coincident

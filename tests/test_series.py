@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
+from functools import reduce
 from math import comb
+from operator import mul
 
 import pytest
 
@@ -105,6 +107,23 @@ class TestArithmetic:
         assert a.power(3) == a * a * a
         assert a.power(1) == a
         assert a.power(0) == TruncatedSeries.one(6)
+
+    def test_power_takes_logarithmically_many_products(self, monkeypatch):
+        rng = random.Random(SEED)
+        a = TruncatedSeries(random_coefficients(rng, 6))
+        for exponent in range(1, 18):
+            assert a.power(exponent) == reduce(mul, [a] * exponent)
+        products = []
+        multiply = TruncatedSeries.__mul__
+
+        def counted(self, other):
+            products.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        power = series(1, 1, 0, 0, 0).power(10**6)
+        assert power.coefficients == tuple(comb(10**6, k) for k in range(5))
+        assert len(products) <= 40
 
 
 class TestOperandTypes:

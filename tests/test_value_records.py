@@ -17,7 +17,12 @@ from fractions import Fraction as F
 import pytest
 
 from hgcauchy.cauchy import CauchyTable
-from hgcauchy.hessenberg import HessenbergSpec, determinant_sequence
+from hgcauchy.hessenberg import (
+    HessenbergSpec,
+    determinant_inversion_roundtrip,
+    determinant_sequence,
+    unit_lower_toeplitz_inverse,
+)
 from hgcauchy.higher import Route, WeightTable
 from hgcauchy.relations import ChainIndex
 from hgcauchy.report import VerificationReport
@@ -156,6 +161,28 @@ def test_pickle_and_copy_round_trips(cls, fields, text):
         assert repr(clone) == text
 
 
+def test_sequence_fields_are_stored_as_tuples():
+    chain = ChainIndex([3, 1, 0])
+    assert chain == ChainIndex((3, 1, 0))
+    assert repr(chain) == "ChainIndex(indices=(3, 1, 0))"
+    assert hash(chain) == hash(ChainIndex((3, 1, 0)))
+    record = VerificationReport("core/x", [1, 1, 3], "fail", ["1/4", "5/4"])
+    as_tuples = VerificationReport("core/x", (1, 1, 3), "fail", ("1/4", "5/4"))
+    assert record == as_tuples and hash(record) == hash(as_tuples)
+    assert record.as_dict() == {
+        "identity": "core/x",
+        "parameter_point": [1, 1, 3],
+        "status": "fail",
+        "detail": ["1/4", "5/4"],
+    }
+
+
+@pytest.mark.parametrize("point", [(), (1, 1), (1, 1, 3, 0)])
+def test_parameter_point_has_three_entries(point):
+    with pytest.raises(ValueError, match=r"parameter_point must be \(N, r, n\)"):
+        VerificationReport("core/x", point, "pass")
+
+
 def test_route_keeps_its_three_fields():
     assert Route._fields == ("compute", "cap", "any_order")
     route = Route(len, None, any_order=True)
@@ -185,6 +212,19 @@ INEXACT = [
     ),
     pytest.param(lambda: cameron_transform([0.5]), "float 0.5", id="transform"),
     pytest.param(lambda: cameron_inverse([0.5]), "float 0.5", id="inverse"),
+    pytest.param(
+        lambda: unit_lower_toeplitz_inverse([0.5]), "float 0.5", id="toeplitz-inverse"
+    ),
+    pytest.param(
+        lambda: determinant_inversion_roundtrip([0.5, 0.25], 2),
+        "float 0.5",
+        id="roundtrip-sequence",
+    ),
+    pytest.param(
+        lambda: determinant_inversion_roundtrip(lambda k: 1 / (k + 1), 2),
+        "float 0.5",
+        id="roundtrip-callable",
+    ),
 ]
 
 

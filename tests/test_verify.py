@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from hgcauchy import cauchy, verify
+from hgcauchy import cauchy, higher, series, verify
+from hgcauchy.cauchy import METHODS
 from hgcauchy.report import VerificationReport, check, erratum, failed, passed
 from hgcauchy.verify import (
     core_suite,
@@ -205,4 +206,53 @@ class TestTrudiWalkSensitivity:
 
         assert set(agreement(core_suite(N_max=2, n_max=8))) == {"pass"}
         monkeypatch.setattr(cauchy, "trudi_sequence", off_by_one_at_the_end)
+        assert agreement(core_suite(N_max=2, n_max=8)) == ["fail", "fail"]
+
+
+def record_route_calls(monkeypatch):
+    """Wrap every ``higher.ROUTES`` entry; the returned list collects the
+    (method, r) of each route table built."""
+    calls = []
+    for method, route in higher.ROUTES.items():
+
+        def compute(N, r, n_max, cap, method=method, inner=route.compute):
+            calls.append((method, r))
+            return inner(N, r, n_max, cap)
+
+        monkeypatch.setitem(higher.ROUTES, method, route._replace(compute=compute))
+    return calls
+
+
+class TestComputationsCompared:
+    def test_all_suites_compute_every_method_at_first_order(self, monkeypatch):
+        calls = record_route_calls(monkeypatch)
+        run_suites("all", N_max=1, r_max=2, n_max=4)
+        assert {method for method, r in calls if r == 1} == set(METHODS)
+
+    def test_core_builds_three_tables_per_N(self, monkeypatch):
+        calls = record_route_calls(monkeypatch)
+        core_suite(N_max=3, n_max=4)
+        assert calls == [("series", 1), ("compositions", 1), ("trudi", 1)] * 3
+
+    # the Trudi walk, the third computation, is TestTrudiWalkSensitivity
+    @pytest.mark.parametrize(
+        "owner, name",
+        [(series, "toeplitz_solve"), (cauchy, "composition_sum")],
+        ids=["solve", "composition-walk"],
+    )
+    def test_computation_wrong_at_its_last_index_fails_core_agreement(
+        self, monkeypatch, owner, name
+    ):
+        computation = getattr(owner, name)
+
+        def off_by_one_at_the_end(*args):
+            out = computation(*args)
+            out[-1] += 1
+            return out
+
+        def agreement(records):
+            return [r.status for r in records if r.identity == "core/method-agreement"]
+
+        assert set(agreement(core_suite(N_max=2, n_max=8))) == {"pass"}
+        monkeypatch.setattr(owner, name, off_by_one_at_the_end)
         assert agreement(core_suite(N_max=2, n_max=8)) == ["fail", "fail"]
