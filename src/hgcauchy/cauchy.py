@@ -40,17 +40,20 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .combinat import STRICT_COMPOSITION_CAP, composition_sum, multinomial
 from .errors import _integer, _Record, _size, _within_cap
 from .hessenberg import (
     PARTITION_CAP,
+    _inversion_chain,
+    _recovery_record,
     determinant_sequence,
     enumerate_partition_multiplicities,
     trudi_sequence,
 )
-from .report import VerificationReport, check
+from .report import VerificationReport
 from .series import TruncatedSeries, _fraction, toeplitz_solve
 
 __all__ = [
@@ -255,19 +258,22 @@ def c_trudi_printed_variant(
     return factorial(n) * total
 
 
+# (point, ratios, chain) -> the ratio-recovery record of that inversion chain
+_ratio_recovery = partial(_recovery_record, "inversion/ratio-recovery")
+
+
 def ratio_inversion(N: int, n_max: int) -> VerificationReport:
     """Determinants over normalized-value bands recover the defining ratios:
 
         det of the unit-superdiagonal spec over bands c(N, k)/k!  ==  N/(N+n).
+
+    Read off the inversion chain of N/(N+k), whose alpha is the normalized
+    table by Glaisher's determinant; ``core/method-agreement`` checks that
+    table against the composition and Trudi walks.
     """
     _check_parameters(N, n_max)
-    bands = c_via_series(N, n_max).normalized()[1:]
-    dets = determinant_sequence(1, bands)
-    return check(
-        "inversion/ratio-recovery",
-        (N, 1, n_max),
-        ((n, Fraction(N, N + n), dets[n]) for n in range(1, n_max + 1)),
-    )
+    rule = _ratios(N, 1, n_max)[1:]
+    return _ratio_recovery((N, 1, n_max), rule, _inversion_chain(rule))
 
 
 def c_closed_form(N: int, n: int) -> Fraction:

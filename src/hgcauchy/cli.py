@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import higher
 from .combinat import STRICT_COMPOSITION_CAP
 from .errors import CapExceeded
-from .hessenberg import PARTITION_CAP, determinant_sequence, unit_lower_toeplitz_inverse
+from .hessenberg import PARTITION_CAP, _inversion_chain
 from .relations import CHAIN_CAP
 from .report import VerificationReport
 from .verify import SUITE_NAMES, run_suites
@@ -216,27 +216,17 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def cmd_invert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     N, r, n_max = args.N, args.r, args.n_max
-    if args.rule == "cauchy":
-        rule = [Fraction(1, n + 1) for n in range(1, n_max + 1)]
-    elif args.rule == "hgc":
-        rule = [Fraction(N, N + n) for n in range(1, n_max + 1)]
-    else:
+    if args.rule == "weights":
         rule = list(higher.weight_D(N, r, n_max).values[1:])
+    else:  # the cauchy rule 1/(n+1) is the hgc rule at N = 1
+        M = 1 if args.rule == "cauchy" else N
+        rule = [Fraction(M, M + n) for n in range(1, n_max + 1)]
 
-    alpha = determinant_sequence(Fraction(1), rule)[1:]
-    recovered = determinant_sequence(Fraction(1), alpha)[1:]
-    bands = unit_lower_toeplitz_inverse(alpha)
+    alpha, recovered, bands = _inversion_chain(rule)
 
     print("n\tR\talpha\trecovered\tinverse_band")
-    for n in range(1, n_max + 1):
-        row = (
-            str(n),
-            str(rule[n - 1]),
-            str(alpha[n - 1]),
-            str(recovered[n - 1]),
-            str(bands[n - 1]),
-        )
-        print("\t".join(row))
+    for row in zip(range(1, n_max + 1), rule, alpha, recovered, bands):
+        print("\t".join(map(str, row)))
     return 0 if recovered == rule else 1
 
 

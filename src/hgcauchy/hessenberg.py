@@ -15,6 +15,13 @@ partitions of n that shares its prefix products in integers and shares no
 arithmetic with the solve; :func:`trudi_sequence` runs it for every leading
 spec. For a_0 = 1, d covers band inversion of unit lower-triangular Toeplitz
 matrices. The routes are cross-checked in the verification suites.
+
+The inversion chain lives here once: :func:`_inversion_chain` makes, from
+bands R(1..n), alpha = det(R), recovered = det(alpha) and the inverse bands
+gamma of alpha; every inversion record and ``invert`` read it, so the three
+inversion records of a suite point read one chain. Over N/(N+k), or D_r(k),
+alpha is the normalized table by Glaisher's determinant, which the ``core``
+and ``higher`` agreement records check against the composition and Trudi walks.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
-from .errors import _integer, _Record, _size, _within_cap
+from .errors import _Record, _size, _within_cap
 from .report import VerificationReport, check
 from .series import _fraction, _scaled, toeplitz_solve
 
@@ -40,6 +47,8 @@ __all__ = [
 
 # p(24) = 1575 multisets; past this the Trudi path refuses unless uncapped.
 PARTITION_CAP = 24
+# (alpha, recovered, gamma) of one band rule; see _inversion_chain
+Chain = tuple[list[Fraction], list[Fraction], list[Fraction]]
 
 
 class HessenbergSpec(_Record):
@@ -194,20 +203,35 @@ def trudi_sequence(
     ]
 
 
-def unit_lower_toeplitz_inverse(
-    alpha: Sequence[Fraction], n: int | None = None
-) -> list[Fraction]:
+def unit_lower_toeplitz_inverse(alpha: Sequence[Fraction]) -> list[Fraction]:
     """Bands gamma_1 .. gamma_n of the inverse of the unit lower-triangular
     Toeplitz matrix with subdiagonal bands alpha_1 .. alpha_n:
 
         gamma_0 = 1,   gamma_k = -sum_{j=1..k} alpha_j gamma_(k-j).
-
-    ``n`` defaults to the band count and otherwise must match it.
     """
-    a = list(map(_fraction, alpha))
-    if n is not None and _integer(n, "n") != len(a):
-        raise ValueError(f"alpha has {len(a)} bands, n = {n} given")
-    return toeplitz_solve([Fraction(1)] + a)[1:]
+    return toeplitz_solve([Fraction(1)] + list(map(_fraction, alpha)))[1:]
+
+
+def _inversion_chain(rule: Sequence[Fraction]) -> Chain:
+    """alpha_n = det over R(1..n), recovered_n = det over alpha_1..alpha_n
+    (== R(n)) and gamma, the inverse bands of alpha (== (-1)^k R(k))."""
+    alpha = determinant_sequence(1, rule)[1:]
+    return alpha, determinant_sequence(1, alpha)[1:], unit_lower_toeplitz_inverse(alpha)
+
+
+def _recovery_record(
+    identity: str, point: tuple[int, int, int], rule: Sequence[Fraction], chain: Chain
+) -> VerificationReport:
+    """The record of recovered_n == R(n) for n = 1 .. len(rule)."""
+    return check(identity, point, zip(range(1, len(rule) + 1), rule, chain[1]))
+
+
+def _signed_bands_record(
+    identity: str, point: tuple[int, int, int], rule: Sequence[Fraction], chain: Chain
+) -> VerificationReport:
+    """The record of gamma_k == (-1)^k R(k) for k = 1 .. len(rule)."""
+    signed = ((-1) ** k * v for k, v in enumerate(rule, 1))
+    return check(identity, point, zip(range(1, len(rule) + 1), signed, chain[2]))
 
 
 def determinant_inversion_roundtrip(
@@ -229,8 +253,5 @@ def determinant_inversion_roundtrip(
         values = list(map(_fraction, rule[:n_max]))
         if len(values) < n_max:
             raise ValueError(f"rule supplies {len(values)} terms, need {n_max}")
-    if point is None:
-        point = (0, 0, n_max)
-    alpha = determinant_sequence(1, values)[1:]
-    recovered = determinant_sequence(1, alpha)[1:]
-    return check(identity, point, zip(range(1, n_max + 1), values, recovered))
+    point = point or (0, 0, n_max)
+    return _recovery_record(identity, point, values, _inversion_chain(values))

@@ -26,7 +26,7 @@ in the one module that imports both route families.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb
 
@@ -45,10 +45,12 @@ from .combinat import STRICT_COMPOSITION_CAP, weak_composition_sum
 from .errors import _integer, _Record
 from .hessenberg import (
     PARTITION_CAP,
-    determinant_sequence,
-    unit_lower_toeplitz_inverse,
+    Chain,
+    _inversion_chain,
+    _recovery_record,
+    _signed_bands_record,
 )
-from .report import VerificationReport, check, passed
+from .report import VerificationReport, passed
 from .series import TruncatedSeries, _fraction
 
 __all__ = [
@@ -260,6 +262,18 @@ ROUTES = {
 }
 
 
+def _weight_recovery(
+    point: tuple[int, int, int], rule: Sequence[Fraction], chain: Chain
+) -> VerificationReport:
+    """D_inversion's record of one inversion chain: its first failing half."""
+    name = "inversion/weight-recovery"
+    halves = (
+        _recovery_record(f"{name}/determinant", point, rule, chain),
+        _signed_bands_record(f"{name}/inverse-bands", point, rule, chain),
+    )
+    return next((half for half in halves if not half.ok), passed(name, point))
+
+
 def D_inversion(N: int, r: int, n_max: int) -> VerificationReport:
     """Inversion pair between normalized tables and weights.
 
@@ -269,26 +283,10 @@ def D_inversion(N: int, r: int, n_max: int) -> VerificationReport:
     * inverse-band half: the unit lower-triangular Toeplitz inverse of the
       normalized-value bands has gamma_k = (-1)^k D_r(k).
 
-    Reports the first failing n, naming which half failed.
+    Reports the first failing n, naming which half failed. Both halves read
+    the inversion chain of D_r(1..n_max): its alpha is the normalized table by
+    Glaisher's determinant, checked against both walks in ``higher``.
     """
     _check_parameters(N, n_max, r)
-    point = (N, r, n_max)
-    d = _weights(N, r, n_max)
-    b = _recurrence_table(N, r, n_max, lambda *_: d).normalized()[1:]
-    dets = determinant_sequence(1, b)
-    gamma = unit_lower_toeplitz_inverse(b)
-    for half in (
-        check(
-            "inversion/weight-recovery/determinant",
-            point,
-            ((n, d[n], dets[n]) for n in range(1, n_max + 1)),
-        ),
-        check(
-            "inversion/weight-recovery/inverse-bands",
-            point,
-            ((k, (-1) ** k * d[k], gamma[k - 1]) for k in range(1, n_max + 1)),
-        ),
-    ):
-        if not half.ok:
-            return half
-    return passed("inversion/weight-recovery", point)
+    rule = _weights(N, r, n_max)[1:]
+    return _weight_recovery((N, r, n_max), rule, _inversion_chain(rule))

@@ -31,11 +31,7 @@ from operator import add, mul
 
 from . import cauchy, higher, relations
 from .combinat import composition_sum, weak_composition_sum
-from .hessenberg import (
-    determinant_sequence,
-    determinant_inversion_roundtrip,
-    unit_lower_toeplitz_inverse,
-)
+from .hessenberg import _inversion_chain, _recovery_record, _signed_bands_record
 from .report import VerificationReport, check, erratum
 from .series import (
     TruncatedSeries,
@@ -223,10 +219,11 @@ def higher_suite(
                 "higher/method-agreement", N, r, n_max, capped, _ORDER_R_METHODS
             )
             brute = higher.weight_D_by_enumeration(N, r, min(n_max, 10))
+            weights = higher.weight_D(N, r, max(3, len(brute) - 1))
             records.append(record)
             records.append(_weak_composition_residual(tables["convolution"], brute))
-            records.append(_weight_enumeration(N, r, brute))
-            records.append(_weight_closed_forms(N, r))
+            records.append(_weight_enumeration(weights, brute))
+            records.append(_weight_closed_forms(weights))
             records.append(_order_closed_forms(tables["recurrence"]))
 
     # the worked examples of the power identity print exponents r+1 and N-1
@@ -268,20 +265,21 @@ def _weak_composition_residual(
     )
 
 
-def _weight_enumeration(N: int, r: int, brute: list[Fraction]) -> VerificationReport:
+def _weight_enumeration(
+    weights: higher.WeightTable, brute: list[Fraction]
+) -> VerificationReport:
     top = len(brute) - 1
-    table = higher.weight_D(N, r, top).values
     return check(
         "higher/weight-enumeration-agreement",
-        (N, r, top),
-        ((e, brute[e], table[e]) for e in range(top + 1)),
+        (weights.N, weights.r, top),
+        ((e, brute[e], weights.values[e]) for e in range(top + 1)),
     )
 
 
-def _weight_closed_forms(N: int, r: int) -> VerificationReport:
+def _weight_closed_forms(weights: higher.WeightTable) -> VerificationReport:
     """The e = 1 .. 3 closed-form displays; the e = 4 display carries a
     documented slip and is exercised in the test suite instead."""
-    table = higher.weight_D(N, r, 3).values
+    N, r, table = weights.N, weights.r, weights.values
     return check(
         "higher/weight-closed-forms",
         (N, r, 3),
@@ -322,47 +320,33 @@ def inversion_suite(
 ) -> list[VerificationReport]:
     """Determinant round trips, ratio and weight recovery, the sign-corrected
     inverse-band identity, and the unsigned-display erratum. The bands of
-    each (N, r) are D_r(1 .. n_max), at r = 1 the ratios N/(N+k)."""
+    each (N, r) are D_r(1 .. n_max), at r = 1 the ratios N/(N+k). Each point
+    builds one inversion chain and its three records read it; the chain's
+    alpha is the normalized table by Glaisher's determinant, which ``core``
+    and ``higher`` check against the composition and Trudi walks."""
     Ns = range(1, N_max + 1)
     grid = [(N, 1) for N in Ns] + [(N, r) for N in Ns for r in range(2, r_max + 1)]
-    bands = {(N, r): list(higher.weight_D(N, r, n_max).values[1:]) for N, r in grid}
+    rules = {(N, r): higher.weight_D(N, r, n_max).values[1:] for N, r in grid}
+    chains = {p: ((*p, n_max), R, _inversion_chain(R)) for p, R in rules.items()}
     records = [
-        determinant_inversion_roundtrip(
-            bands[N, r], n_max, "inversion/determinant-roundtrip", (N, r, n_max)
-        )
+        _recovery_record("inversion/determinant-roundtrip", *chains[N, r])
         for N, r in grid
     ]
     records += [
-        cauchy.ratio_inversion(N, n_max) if r == 1 else higher.D_inversion(N, r, n_max)
+        (cauchy._ratio_recovery if r == 1 else higher._weight_recovery)(*chains[N, r])
         for N, r in grid
     ]
     records += [
-        _signed_inverse_bands(bands[N, r], (N, r, n_max))
-        for N in Ns
-        for r in range(1, r_max + 1)
+        _signed_bands_record("inversion/signed-inverse-bands", *chains[p])
+        for p in sorted(chains)
     ]
 
     # the inverse-matrix display as printed claims bands R(k); the computed
     # bands carry the alternating sign, seen in the one band R(1) = 1/2
-    rule = [Fraction(1, 2)]
-    alpha = determinant_sequence(1, rule)[1:]
-    gamma = unit_lower_toeplitz_inverse(alpha)
-    records.append(
-        erratum("inversion/unsigned-inverse-bands", (1, 1, 1), rule[0], gamma[0])
-    )
+    R1 = Fraction(1, 2)
+    gamma = _inversion_chain([R1])[2]
+    records.append(erratum("inversion/unsigned-inverse-bands", (1, 1, 1), R1, gamma[0]))
     return records
-
-
-def _signed_inverse_bands(
-    rule: Sequence[Fraction], point: tuple[int, int, int]
-) -> VerificationReport:
-    alpha = determinant_sequence(1, rule)[1:]
-    gamma = unit_lower_toeplitz_inverse(alpha)
-    return check(
-        "inversion/signed-inverse-bands",
-        point,
-        ((k, (-1) ** k * rule[k - 1], gamma[k - 1]) for k in range(1, len(rule) + 1)),
-    )
 
 
 def series_rules_suite(

@@ -169,20 +169,6 @@ class TestInverse:
         with pytest.raises(TypeError, match="n_max must be an integer, got float"):
             determinant_inversion_roundtrip(rule, 2.0)
 
-    def test_explicit_length_argument(self):
-        alpha = [F(1, 2), F(1, 3)]
-        assert unit_lower_toeplitz_inverse(alpha, 2) == unit_lower_toeplitz_inverse(
-            alpha
-        )
-        with pytest.raises(ValueError):
-            unit_lower_toeplitz_inverse(alpha, 3)
-
-    def test_length_argument_meets_the_integer_rule(self):
-        with pytest.raises(TypeError, match="n must be an integer, not bool"):
-            unit_lower_toeplitz_inverse([F(1, 2)], True)
-        with pytest.raises(TypeError, match="n must be an integer, got float 1.0"):
-            unit_lower_toeplitz_inverse([F(1, 2)], 1.0)
-
     def test_signed_rule_bands(self):
         # alpha_n = det over bands R(k) makes the inverse bands (-1)^k R(k)
         for N in (1, 2, 5):

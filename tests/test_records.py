@@ -146,7 +146,7 @@ SITES = [
     ),
     pytest.param(
         "inversion/signed-inverse-bands",
-        (verify, "unit_lower_toeplitz_inverse", 1, lambda alpha: len(alpha) == 4),
+        (hessenberg, "unit_lower_toeplitz_inverse", 1, lambda alpha: len(alpha) == 4),
         lambda: verify.inversion_suite(N_max=1, r_max=1, n_max=4),
         (1, 1, 2),
         ("1/3", "4/3"),
@@ -194,7 +194,7 @@ SITES = [
     ),
     pytest.param(
         "inversion/ratio-recovery",
-        (cauchy, "determinant_sequence", 2, None),
+        (hessenberg, "determinant_sequence", 2, second_call),
         lambda: cauchy.ratio_inversion(2, 4),
         (2, 1, 2),
         ("1/2", "3/2"),
@@ -202,7 +202,7 @@ SITES = [
     ),
     pytest.param(
         "inversion/weight-recovery/determinant",
-        (higher, "determinant_sequence", 2, None),
+        (hessenberg, "determinant_sequence", 2, second_call),
         lambda: higher.D_inversion(1, 2, 4),
         (1, 2, 2),
         ("11/12", "23/12"),
@@ -210,7 +210,7 @@ SITES = [
     ),
     pytest.param(
         "inversion/weight-recovery/inverse-bands",
-        (higher, "unit_lower_toeplitz_inverse", 1, None),
+        (hessenberg, "unit_lower_toeplitz_inverse", 1, None),
         lambda: higher.D_inversion(1, 2, 4),
         (1, 2, 2),
         ("11/12", "23/12"),

@@ -4,13 +4,14 @@ guards on the package's own source.
 The benchmark replays CLI argv lines against the stdout digests in
 ``bench/golden.json`` and traces the functions named in ``bench/tracer.py``;
 both break silently if the package drifts, so both are checked here in
-tier 1: the ``verify`` lines and every ``compute`` line except the five
-slowest (``compositions`` at n = 20). ``golden.json`` is only read, never
-re-recorded. The source guards read ``src/hgcauchy`` with ``ast``: no module
-imports a name it does not use, the package's star re-exports never bind one
-name twice, each input rule is stated in one place (caps and sizes in
-``errors``, flag bounds where ``cli`` declares the flags), fail records
-are built only in ``report``, and no module imports ``dataclasses`` or
+tier 1: the ``verify`` and ``invert`` lines and every ``compute`` line except
+the five slowest (``compositions`` at n = 20). ``golden.json`` is only read,
+never re-recorded. The source guards read ``src/hgcauchy`` with ``ast``: no
+module imports a name it does not use, the package's star re-exports never
+bind one name twice, each input rule is stated in one place (caps and sizes
+in ``errors``, flag bounds where ``cli`` declares the flags), fail records
+are built only in ``report``, the inverse bands are solved only in the
+``hessenberg`` inversion chain, and no module imports ``dataclasses`` or
 ``typing``, so a CLI process loads neither (nor ``inspect``, which
 ``dataclasses`` pulls in).
 """
@@ -37,6 +38,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 PACKAGE = Path(hgcauchy.__file__).parent
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
 VERIFY_LINES = sorted(line for line in GOLDEN if line.startswith("verify "))
+INVERT_LINES = sorted(line for line in GOLDEN if line.startswith("invert "))
 TRUDI_LINES = sorted(line for line in GOLDEN if line.endswith("--method trudi"))
 # every compute line but the five compositions tables at n = 20, which take
 # longer than all the others together
@@ -63,6 +65,17 @@ def _stdout_digest(line):
 
 @pytest.mark.parametrize("line", VERIFY_LINES)
 def test_verify_stdout_matches_golden_digest(line):
+    assert _stdout_digest(line) == GOLDEN[line]
+
+
+def test_golden_file_holds_the_invert_lines():
+    # the hgc rule at N = 15 .. 22, n = 20 and 100
+    assert len(INVERT_LINES) == 16
+    assert "invert --rule hgc --N 22 --n-max 100" in INVERT_LINES
+
+
+@pytest.mark.parametrize("line", INVERT_LINES)
+def test_invert_stdout_matches_golden_digest(line):
     assert _stdout_digest(line) == GOLDEN[line]
 
 
@@ -260,6 +273,16 @@ def test_fail_records_are_built_in_one_place():
         and any(alias.name == "failed" for alias in node.names)
     ]
     assert importers == []
+
+
+def test_inverse_bands_are_solved_in_one_place():
+    # the inversion records and invert read hessenberg._inversion_chain
+    trees = _package_trees()
+    counts = {
+        name: len(_calls(tree, "unit_lower_toeplitz_inverse"))
+        for name, tree in trees.items()
+    }
+    assert {name: n for name, n in counts.items() if n} == {"hessenberg.py": 1}
 
 
 def test_no_module_imports_dataclasses_or_typing():

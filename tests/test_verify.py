@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -256,3 +257,40 @@ class TestComputationsCompared:
         assert set(agreement(core_suite(N_max=2, n_max=8))) == {"pass"}
         monkeypatch.setattr(owner, name, off_by_one_at_the_end)
         assert agreement(core_suite(N_max=2, n_max=8)) == ["fail", "fail"]
+
+
+def count_calls(monkeypatch, *targets):
+    """Count the calls of each ``(owner, name)`` of ``targets``, wrapped in
+    every ``hgcauchy`` module that binds the same function; the returned
+    dict maps each name to its count."""
+    counts = {}
+    modules = [m for k, m in sys.modules.items() if k.startswith("hgcauchy.")]
+    for owner, name in targets:
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, name=name, original=original, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for module in modules:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestInputsBuiltOnce:
+    def test_inversion_suite_builds_one_chain_per_point(self, monkeypatch):
+        counts = count_calls(
+            monkeypatch, (series, "toeplitz_solve"), (higher, "weight_D")
+        )
+        inversion_suite()
+        # 12 (N, r) points and the erratum's one band: three solves each
+        assert counts["toeplitz_solve"] <= 39
+        assert counts["weight_D"] == 12
+
+    def test_higher_suite_builds_one_weight_check_table_per_point(self, monkeypatch):
+        counts = count_calls(monkeypatch, (higher, "weight_D"))
+        higher_suite()
+        # per (N, r): the four weight routes, and one table for both checks
+        assert counts["weight_D"] == 60
