@@ -27,10 +27,10 @@ the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`
 ``higher``, the r-th power of the first-order series (``convolution``).
 The two walks share no arithmetic with the solve, so at r = 1 the
 ``core/method-agreement`` record of :mod:`hgcauchy.verify` compares one
-route of each: ``series``, ``compositions`` and ``trudi``. The routes that
-take r > 1 are compared in ``higher``, from r = 1 up. ``c_via_recurrence``,
-``c_via_determinant``, ``c_via_compositions`` and ``c_via_trudi`` stay public
-as one-line r = 1 entries.
+route of each: ``series``, ``compositions`` and ``trudi``, and ``higher``
+compares the four at every r. ``c_via_recurrence``, ``c_via_determinant``,
+``c_via_compositions`` and ``c_via_trudi`` stay public as one-line r = 1
+entries; :func:`c_trudi_printed_variant` reads the Trudi walk.
 
 The classical validators at the end pin the machinery to well-known sequences
 (Bernoulli and Euler numbers as Hessenberg determinants).
@@ -43,14 +43,14 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 
-from .combinat import STRICT_COMPOSITION_CAP, composition_sum, multinomial
+from .combinat import STRICT_COMPOSITION_CAP, composition_sum
 from .errors import _integer, _Record, _size, _within_cap
 from .hessenberg import (
     PARTITION_CAP,
     _inversion_chain,
     _recovery_record,
+    _trudi_walk,
     determinant_sequence,
-    enumerate_partition_multiplicities,
     trudi_sequence,
 )
 from .report import VerificationReport
@@ -238,24 +238,21 @@ def c_trudi_printed_variant(
     coefficient and sign read binomial(n - sum t; t_1..t_n) * (-1)^(sum t)
     instead of binomial(sum t; t_1..t_n) * (-1)^(n - sum t).
 
-    Multinomial coefficients follow the standard convention (zero unless the
-    lower entries sum to the upper one). The variant disagrees with the true
-    values (first at N = 1, n = 2: -2/3 against -1/6); it exists so the
-    verification suite can document that discrepancy with exact numbers.
+    The multinomial is zero unless sum t = n - sum t, so the variant is
+    n! (-1)^(n/2) times the s = n/2 accumulator of the Trudi walk over bands
+    N/(N+k) (:func:`~hgcauchy.hessenberg._trudi_walk`), and 0 for odd n. It
+    disagrees with the true values (first at N = 1, n = 2: -2/3 against
+    -1/6); it exists so the verification suite can document that
+    discrepancy with exact numbers.
     """
     _check_parameters(N, 0)
     _size(n, "n")
-    total = Fraction(0)
-    for tvec in enumerate_partition_multiplicities(n, cap):
-        t_sum = sum(tvec)
-        if n - t_sum != t_sum:
-            continue
-        term = Fraction(multinomial(tvec) * (-1) ** t_sum)
-        for k, t in enumerate(tvec, start=1):
-            if t:
-                term *= Fraction(N, N + k) ** t
-        total += term
-    return factorial(n) * total
+    _within_cap("partition multiset enumeration", n, cap)
+    if n % 2:
+        return Fraction(0)
+    acc, den = _trudi_walk(_ratios(N, 1, n)[1:])
+    s = n // 2
+    return Fraction(factorial(n) * (-1) ** s * acc[s], den**s)
 
 
 # (point, ratios, chain) -> the ratio-recovery record of that inversion chain

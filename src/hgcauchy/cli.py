@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import higher
 from .combinat import STRICT_COMPOSITION_CAP
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rule",
         choices=("cauchy", "hgc", "weights"),
         required=True,
-        help="band rule: 1/(n+1), N/(N+n), or the order-r weights",
+        help="band rule: 1/(n+1) (reads N = 1), N/(N+n), or the order-r weights",
     )
     p_invert.add_argument(
         "--N", type=_at_least(1), required=True, help="parameter N >= 1"
@@ -141,14 +140,18 @@ def _warn_unsafe(args: argparse.Namespace) -> None:
         )
 
 
+def _refuse_r(parser: argparse.ArgumentParser, r: int, flag: str, use: str) -> None:
+    """Exit 2 when ``r`` is above 1 for ``flag``, a value that reads r = 1 only."""
+    if r > 1:
+        parser.error(f"{flag} supports --r 1 only; use {use}")
+
+
 def cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     route = higher.ROUTES[args.method]
-    if args.r > 1 and not route.any_order:
+    if not route.any_order:
         *others, last = (m for m, rt in higher.ROUTES.items() if rt.any_order)
-        parser.error(
-            f"--method {args.method} supports --r 1 only; "
-            f"use {', '.join(others)}, or {last}"
-        )
+        use = f"{', '.join(others)}, or {last}"
+        _refuse_r(parser, args.r, f"--method {args.method}", use)
     _warn_unsafe(args)
 
     N, r, n_max = args.N, args.r, args.n_max
@@ -215,17 +218,15 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_invert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    N, r, n_max = args.N, args.r, args.n_max
-    if args.rule == "weights":
-        rule = list(higher.weight_D(N, r, n_max).values[1:])
-    else:  # the cauchy rule 1/(n+1) is the hgc rule at N = 1
-        M = 1 if args.rule == "cauchy" else N
-        rule = [Fraction(M, M + n) for n in range(1, n_max + 1)]
-
+    if args.rule != "weights":
+        _refuse_r(parser, args.r, f"--rule {args.rule}", "weights")
+    # D_1(n) = M/(M+n); the cauchy rule 1/(n+1) is the hgc rule at M = 1
+    M = 1 if args.rule == "cauchy" else args.N
+    rule = list(higher.weight_D(M, args.r, args.n_max).values[1:])
     alpha, recovered, bands = _inversion_chain(rule)
 
     print("n\tR\talpha\trecovered\tinverse_band")
-    for row in zip(range(1, n_max + 1), rule, alpha, recovered, bands):
+    for row in zip(range(1, args.n_max + 1), rule, alpha, recovered, bands):
         print("\t".join(map(str, row)))
     return 0 if recovered == rule else 1
 

@@ -2,13 +2,11 @@
 
 Every exponential product sum over compositions of numbers is a call to one
 of two walks, :func:`composition_sum` over strict compositions and
-:func:`weak_composition_sum` over weak compositions. Two walks of the same
-kind live next to the objects they sum: the partition-multiset (Trudi)
-expansion, :func:`~hgcauchy.hessenberg.trudi_sum`, and the
-derivative product rule over weak compositions of series-valued factors,
-``verify._product_rule_rhs``. The generators
-:func:`strict_compositions` and :func:`weak_compositions` yield the same
-compositions one tuple at a time, for naive reference sums.
+:func:`weak_composition_sum` over weak compositions; the partition (Trudi)
+walk, :func:`~hgcauchy.hessenberg._trudi_walk`, and the product rule over
+series, ``verify._product_rule_rhs``, live next to what they sum. No module
+calls :func:`strict_compositions`, :func:`weak_compositions` (one tuple at a
+time) or :func:`multinomial`: they are references for naive sums in tests.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ Expanding along the last column gives the division-free recurrence
 so each d_k is the determinant of the leading k x k matrix, and the whole
 sequence is one triangular Toeplitz solve (:func:`determinant_sequence`). The
 same values have a closed combinatorial expansion over partition multisets
-(Trudi's formula), :func:`trudi_sum`: one depth-first walk over the
-partitions of n that shares its prefix products in integers and shares no
-arithmetic with the solve; :func:`trudi_sequence` runs it for every leading
-spec. For a_0 = 1, d covers band inversion of unit lower-triangular Toeplitz
+(Trudi's formula), :func:`trudi_sum`, which reads :func:`_trudi_walk`, the
+one walk over partitions; it shares no arithmetic with the solve.
+:func:`trudi_sequence` and ``cauchy.c_trudi_printed_variant`` read it too,
+and :func:`enumerate_partition_multiplicities` is a reference for the tests.
+For a_0 = 1, d covers band inversion of unit lower-triangular Toeplitz
 matrices. The routes are cross-checked in the verification suites.
 
 The inversion chain lives here once: :func:`_inversion_chain` makes, from
@@ -145,25 +146,15 @@ def enumerate_partition_multiplicities(
     return result
 
 
-def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction:
-    """Determinant of ``spec`` by the partition-multiset expansion (Trudi):
-
-        d_n = sum over (t_1..t_n) with sum k*t_k = n of
-              multinomial(t) * (-a_0)^(n - sum t) * prod a_k^(t_k).
-
-    One depth-first walk visits every multiplicity vector of n once, taking
-    the parts in ascending order with t copies of each, and carries three
-    running values: s = sum t, the integer multinomial (M <- M*s//t per
-    added copy) and the integer band product over D^s, D the lcm of the
-    band's denominators. One integer accumulator per s collects the terms;
-    (-a_0)^(n - s) is applied at the end and the sum becomes one Fraction.
-    Agrees with :func:`hessenberg_det`; exponential in n, hence the cap,
-    checked before any work.
-    """
-    n = spec.n
-    _within_cap("partition multiset enumeration", n, cap)
-    A, den = _scaled(list(spec.band))
-    acc = [0] * (n + 1)
+def _trudi_walk(band: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer accumulators acc[s], s = 0 .. n = len(band), and D, the lcm of
+    the band's denominators: acc[s] / D^s sums multinomial(t) prod a_k^(t_k)
+    over the multiplicity vectors t of n with sum t = s. One depth-first walk
+    visits each t once, parts ascending with t copies each, carrying s, the
+    integer multinomial (M <- M*s//t per copy) and the band product over D^s."""
+    n = len(band)
+    A, den = _scaled(band)
+    acc = [int(n == 0)] + [0] * n  # the empty partition of 0
 
     def extend(first: int, rest: int, s: int, coeff: int, product: int) -> None:
         # rest is still to be filled with parts >= first
@@ -179,11 +170,22 @@ def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction
                 elif left > k:
                     extend(k + 1, left, sk, ck, pk)
 
-    if n == 0:
-        acc[0] = 1
     extend(1, n, 0, 1, 1)
-    neg_super = -spec.super_entry
-    p, q = neg_super.numerator, neg_super.denominator
+    return acc, den
+
+
+def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction:
+    """Determinant of ``spec`` by the partition-multiset expansion (Trudi):
+
+        d_n = sum over (t_1..t_n) with sum k*t_k = n of
+              multinomial(t) * (-a_0)^(n - sum t) * prod a_k^(t_k),
+
+    the :func:`_trudi_walk` accumulators times (-a_0)^(n - s), one Fraction;
+    exponential in n, hence the cap, checked before any work."""
+    n = spec.n
+    _within_cap("partition multiset enumeration", n, cap)
+    acc, den = _trudi_walk(spec.band)
+    p, q = (-spec.super_entry).as_integer_ratio()
     # sum_s acc[s] p^(n-s) / (q^(n-s) D^s), all over (q D)^n
     num = sum(c * p ** (n - s) * q**s * den ** (n - s) for s, c in enumerate(acc))
     return Fraction(num, (q * den) ** n)

@@ -9,18 +9,15 @@ is the weight
 
 the e-th coefficient of (sum_j N/(N+j) x^j)^r, so F_N(x)^r has coefficients
 (-1)^e D_r(e). Four of the five order-r routes below are one-line entries
-over the computations of :mod:`hgcauchy.cauchy`, passing the bands D_r(k)
-where the first-order entries pass N/(N+k), so at r = 1 each returns the
-first-order table: ``recurrence`` and ``determinant`` reach the Toeplitz
-solve, ``explicit`` the composition walk (at r = 1 the ``compositions``
-route) and ``trudi`` the Trudi walk. ``convolution`` raises the first-order
-table to the r-th power and never touches the weights, so it checks
-(1/F_N)^r against the solve of F_N^r the other way round. The
-``higher/method-agreement`` record of :mod:`hgcauchy.verify` compares these
-five at every r from 1, against ``recurrence``; it is the one record that
-compares ``determinant``, which at r = 1 reruns the solve of ``series``.
-:data:`ROUTES`, the one table of the seven ``--method`` names, lives here,
-in the one module that imports both route families.
+over the computations of :mod:`hgcauchy.cauchy` on the bands D_r(k), so at
+r = 1 each returns the first-order table: ``recurrence`` and ``determinant``
+hand the Toeplitz solve one list, ``explicit`` reaches the composition walk
+and ``trudi`` the Trudi walk. ``convolution`` raises the first-order table
+to the r-th power and never touches the weights. ``higher/method-agreement``
+in :mod:`hgcauchy.verify` compares the four computations, one route each,
+at every r from 1 against ``recurrence``. :data:`ROUTES`, the one table of
+the seven ``--method`` names, lives here, in the one module that imports
+both route families.
 """
 
 from __future__ import annotations

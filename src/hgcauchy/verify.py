@@ -11,8 +11,9 @@ The two method-agreement records compare computations, not route names
 computations of c(N, n) at r = 1: the triangular solve (``series``), the
 composition walk (``compositions``) and the Trudi walk (``trudi``); the
 other routes rerun one of these at r = 1. ``higher/method-agreement``
-compares every route that takes r > 1 against ``recurrence``, at every r
-from 1, so that ``verify --suite all`` still runs each ``--method`` at r = 1.
+compares the four of c^(r)(N, n) at every r from 1: the solve
+(``recurrence``), the two walks (``explicit``, ``trudi``) and the r-th power
+of the first-order series (``convolution``); ``determinant`` reruns the solve.
 
 The erratum-noted records: four identities fail as literally printed in the
 source material this package was transcribed from, while their corrected
@@ -77,8 +78,8 @@ def _random_series(
 # the three computations of c(N, n) at r = 1, the solve first: the other
 # routes at r = 1 rerun one of these on equal bands (see hgcauchy.cauchy)
 _FIRST_ORDER_METHODS = ("series", "compositions", "trudi")
-# every route that takes r > 1, in ROUTES order, ``recurrence`` first
-_ORDER_R_METHODS = tuple(m for m, route in higher.ROUTES.items() if route.any_order)
+# the four order-r computations, the solve first; ``determinant`` reruns it
+_ORDER_R_METHODS = ("recurrence", "trudi", "explicit", "convolution")
 
 
 def _method_agreement(
@@ -209,8 +210,8 @@ def _euler_record() -> VerificationReport:
 def higher_suite(
     N_max: int = 4, r_max: int = 3, n_max: int = 12, capped: bool = True
 ) -> list[VerificationReport]:
-    """Order-r identities: every order-r route against ``recurrence``, the
-    weak-composition residual, weight cross-checks, closed forms, and the
+    """Order-r identities: the four order-r computations against the solve,
+    the weak-composition residual, weight cross-checks, closed forms, and the
     power-identity example erratum."""
     records = []
     for N in range(1, N_max + 1):
@@ -517,7 +518,9 @@ def _transform_roundtrip(seed: int) -> VerificationReport:
 
 def _transform_correspondence(N: int, n_max: int) -> VerificationReport:
     """Feeding the alternating ratio sequence through the transform yields
-    the normalized first-order values; this is the direction that verifies."""
+    the normalized first-order values; this is the direction that verifies.
+    Both sides hand ``toeplitz_solve`` one list, so the record checks the
+    sign convention of x, not the kernel."""
     x = [Fraction((-1) ** (n - 1) * N, N + n) for n in range(1, n_max + 1)]
     z = cameron_transform(x)
     table = cauchy.c_via_series(N, n_max).normalized()

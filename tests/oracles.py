@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from hgcauchy.combinat import multinomial, strict_compositions, weak_compositions
 from hgcauchy.hessenberg import HessenbergSpec, enumerate_partition_multiplicities
@@ -169,6 +170,28 @@ def naive_trudi_sum(spec: HessenbergSpec) -> Fraction:
                 term *= spec.band[k - 1] ** t
         total += term
     return total
+
+
+def naive_trudi_printed_variant(N: int, n: int) -> Fraction:
+    """The commonly printed variant of the partition-multiset expansion over
+    bands N/(N+k), one Fraction term per multiplicity vector t of n:
+
+        n! sum of binomial(n - sum t; t_1..t_n) * (-1)^(sum t)
+                  * prod (N/(N+k))^(t_k),
+
+    where the multinomial is zero unless its lower entries sum to the upper
+    one."""
+    total = Fraction(0)
+    for tvec in enumerate_partition_multiplicities(n, cap=None):
+        t_sum = sum(tvec)
+        if n - t_sum != t_sum:
+            continue
+        term = Fraction(multinomial(tvec) * (-1) ** t_sum)
+        for k, t in enumerate(tvec, start=1):
+            if t:
+                term *= Fraction(N, N + k) ** t
+        total += term
+    return factorial(n) * total
 
 
 def naive_product_rule_rhs(

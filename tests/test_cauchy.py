@@ -20,6 +20,7 @@ from hgcauchy.cauchy import (
 )
 from hgcauchy.errors import CapExceeded
 from hgcauchy.hessenberg import (
+    PARTITION_CAP,
     HessenbergSpec,
     determinant_sequence,
     enumerate_partition_multiplicities,
@@ -29,6 +30,7 @@ from hgcauchy.hessenberg import (
 from hgcauchy.higher import chor_via_explicit, chor_via_trudi
 from hgcauchy.relations import chain_sum
 from hgcauchy.series import TruncatedSeries, log1p_series
+from oracles import naive_trudi_printed_variant
 
 ALL_METHODS = (
     c_via_series,
@@ -217,6 +219,32 @@ class TestPrintedVariant:
             c_trudi_printed_variant(1, -1)
         with pytest.raises(TypeError, match="^n must be an integer, not bool"):
             c_trudi_printed_variant(1, True)
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 64])
+    def test_equals_the_term_by_term_sum(self, N):
+        # the s = n/2 slice of the Trudi walk against one Fraction term per
+        # multiplicity vector, odd n (where it is 0) included
+        for n in range(17):
+            assert c_trudi_printed_variant(N, n) == naive_trudi_printed_variant(N, n)
+
+    def test_uncapped_past_the_cap(self):
+        n = PARTITION_CAP + 2
+        uncapped = c_trudi_printed_variant(2, n, cap=None)
+        assert uncapped == naive_trudi_printed_variant(2, n)
+
+    def test_cap_checked_before_the_walk(self, monkeypatch):
+        def refuse(band):
+            raise AssertionError("the Trudi walk ran past the cap")
+
+        monkeypatch.setattr(hgcauchy.cauchy, "_trudi_walk", refuse)
+        for n in (PARTITION_CAP + 1, PARTITION_CAP + 2):
+            with pytest.raises(CapExceeded) as exc:
+                c_trudi_printed_variant(3, n)
+            assert str(exc.value) == (
+                f"partition multiset enumeration: size {n} exceeds the safety "
+                f"cap {PARTITION_CAP} (pass cap=None, or --unsafe-caps on the "
+                "command line, to override)"
+            )
 
 
 class TestCaps:

@@ -247,6 +247,26 @@ class TestInvert:
         bands = [line.split("\t")[4] for line in out.splitlines()[1:]]
         assert bands == ["-2/3", "1/2", "-2/5", "1/3"]
 
+    @pytest.mark.parametrize("rule, N, r", [("hgc", "2", "3"), ("cauchy", "7", "5")])
+    def test_first_order_rule_refuses_higher_r(self, capsys, rule, N, r):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "invert", "--rule", rule, "--N", N, "--r", r,
+                    "--n-max", "2")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"hgcauchy: error: --rule {rule} supports --r 1 only; use weights\n"
+        )
+
+    @pytest.mark.parametrize("rule, N", [("hgc", "3"), ("cauchy", "1")])
+    def test_first_order_rules_are_the_weights_at_r_one(self, capsys, rule, N):
+        _, weights, _ = run_cli(
+            capsys, "invert", "--rule", "weights", "--N", N, "--n-max", "6"
+        )
+        code, out, _ = run_cli(capsys, "invert", "--rule", rule, "--N", N,
+                               "--r", "1", "--n-max", "6")
+        assert code == 0
+        assert out == weights
+
     def test_missing_rule_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "invert", "--N", "1", "--n-max", "3")

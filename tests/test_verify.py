@@ -224,11 +224,36 @@ def record_route_calls(monkeypatch):
     return calls
 
 
+# method -> the computation it runs (see hgcauchy.cauchy)
+COMPUTATIONS = {
+    "series": "solve",
+    "recurrence": "solve",
+    "determinant": "solve",
+    "compositions": "composition walk",
+    "explicit": "composition walk",
+    "trudi": "Trudi walk",
+    "convolution": "power of the first-order series",
+}
+ORDER_R = ["recurrence", "trudi", "explicit", "convolution"]
+
+
 class TestComputationsCompared:
     def test_all_suites_compute_every_method_at_first_order(self, monkeypatch):
+        # every computation runs at r = 1 and at r = 2; ``determinant``
+        # reruns the solve and is left to the golden replay
+        assert set(COMPUTATIONS) == set(METHODS)
         calls = record_route_calls(monkeypatch)
         run_suites("all", N_max=1, r_max=2, n_max=4)
-        assert {method for method, r in calls if r == 1} == set(METHODS)
+        first = {method for method, r in calls if r == 1}
+        assert {COMPUTATIONS[method] for method in first} == set(COMPUTATIONS.values())
+        assert {method for method, r in calls if r == 2} == set(ORDER_R)
+        assert "determinant" not in {method for method, r in calls}
+
+    def test_higher_builds_four_tables_per_point(self, monkeypatch):
+        calls = record_route_calls(monkeypatch)
+        higher_suite()
+        points = [(N, r) for N in range(1, 5) for r in range(1, 4)]
+        assert calls == [(method, r) for N, r in points for method in ORDER_R]
 
     def test_core_builds_three_tables_per_N(self, monkeypatch):
         calls = record_route_calls(monkeypatch)
@@ -292,5 +317,5 @@ class TestInputsBuiltOnce:
     def test_higher_suite_builds_one_weight_check_table_per_point(self, monkeypatch):
         counts = count_calls(monkeypatch, (higher, "weight_D"))
         higher_suite()
-        # per (N, r): the four weight routes, and one table for both checks
-        assert counts["weight_D"] == 60
+        # per (N, r): the three weight routes, and one table for both checks
+        assert counts["weight_D"] == 48
