@@ -2,11 +2,16 @@
 
 Every exponential product sum over compositions of numbers is a call to one
 of two walks, :func:`composition_sum` over strict compositions and
-:func:`weak_composition_sum` over weak compositions; the partition (Trudi)
-walk, :func:`~hgcauchy.hessenberg._trudi_walk`, and the product rule over
-series, ``verify._product_rule_rhs``, live next to what they sum. No module
-calls :func:`strict_compositions`, :func:`weak_compositions` (one tuple at a
-time) or :func:`multinomial`: they are references for naive sums in tests.
+:func:`weak_composition_sum` over weak compositions. Each composition gets
+its own integer product, built on the shared product of its prefix; no sum
+of prefixes is factored out, so neither walk turns into the series
+arithmetic it cross-checks. For sizes >= 1 the strict walk makes
+2^(t_max - 1) calls and the weak walk C(total + m, m), m = max(parts - 2, 0).
+The partition (Trudi) walk, :func:`~hgcauchy.hessenberg._trudi_walk`, and
+the product rule over series, ``verify._product_rule_rhs``, live next to
+what they sum. No module calls :func:`strict_compositions`,
+:func:`weak_compositions` (one tuple at a time) or :func:`multinomial`:
+they are references for naive sums in tests.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
     Fraction at the end.
     """
     t_max = _size(t_max, "t_max")
+    if t_max and len(w) <= t_max:
+        raise ValueError(
+            f"w supplies {len(w)} terms, need {t_max + 1} to read w[1..{t_max}]"
+        )
     U, den = _scaled(w[1 : t_max + 1])
     V = [0] + [u * den ** (e - 1) for e, u in enumerate(U, start=1)]
     acc = [1] + [0] * t_max
@@ -100,23 +109,48 @@ def weak_composition_sum(w: Sequence[Fraction], total: int, parts: int) -> list[
     """For k = 0 .. parts, the sum over weak compositions (i_1, .., i_k) of
     ``total`` of the products w[i_1] .. w[i_k]; entry 0 is 1 at total 0.
 
-    One depth-first walk visits every weak composition of every k <= parts
-    once and shares each prefix product with all its extensions, in
-    integers: with D the lcm of the denominators of w[0 .. total], a prefix
-    of k parts is an integer over D^k, and each k becomes one Fraction.
+    One depth-first walk gives every weak composition of every k <= parts
+    its own product and one add into the accumulator of k, and shares each
+    prefix product with all its extensions. It forms only prefixes that can
+    still be completed: a prefix of parts - 1 parts reads its last part off
+    what is left, and a prefix that uses up ``total`` is padded with zero
+    parts in one loop, each padding its own product. For total >= 1 the walk
+    makes C(total + m, m) calls, m = max(parts - 2, 0): one per prefix of at
+    most m parts that leaves something over. The products are integers: with
+    D the lcm of the denominators of w[0 .. total], a prefix of k parts is an
+    integer over D^k, and each k becomes one Fraction. With no parts no
+    weight is read.
     """
     total, parts = _size(total, "total"), _size(parts, "parts")
+    if parts and len(w) <= total:
+        raise ValueError(
+            f"w supplies {len(w)} terms, need {total + 1} to read w[0..{total}]"
+        )
     V, den = _scaled(w[: total + 1])
     acc = [0] * (parts + 1)
 
-    def extend(k: int, left: int, prefix: int) -> None:
-        if left == 0:
-            acc[k] += prefix
-        if k < parts:
-            for i in range(left + 1):
-                extend(k + 1, left - i, prefix * V[i])
+    def close(k: int, product: int) -> None:
+        # a composition of k parts that uses up total, then each padding
+        # with zero parts up to ``parts``
+        acc[k] += product
+        for j in range(k + 1, parts + 1):
+            product *= V[0]
+            acc[j] += product
 
-    extend(0, total, 1)
+    def extend(k: int, left: int, prefix: int) -> None:
+        # a prefix of k <= max(parts - 2, 0) parts that leaves left > 0
+        if k + 2 < parts:
+            for i in range(left):
+                extend(k + 1, left - i, prefix * V[i])
+        elif k + 2 == parts:
+            for i in range(left):
+                acc[parts] += prefix * V[i] * V[left - i]
+        close(k + 1, prefix * V[left])
+
+    if total == 0:
+        close(0, 1)
+    elif parts:
+        extend(0, total, 1)
     return [Fraction(acc[k], den**k) for k in range(parts + 1)]
 
 

@@ -252,12 +252,10 @@ def _weak_composition_residual(
     N, r = table.N, table.r
     top = len(brute) - 1
     scale = N**r
+    b = table.normalized()
 
     def residual(n: int) -> Fraction:
-        return sum(
-            (-1) ** (n - m) * table.values[m] / factorial(m) * brute[n - m] / scale
-            for m in range(n + 1)
-        )
+        return sum((-1) ** (n - m) * b[m] * brute[n - m] for m in range(n + 1)) / scale
 
     return check(
         "higher/defining-recurrence-residual",
@@ -454,7 +452,12 @@ def _product_rule_rhs(factors: Sequence[TruncatedSeries], n: int) -> TruncatedSe
 def _truncated_product(a: list[int], b: list[int]) -> list[int]:
     """The first len(a) coefficients of the product of two integer series
     of equal length."""
-    return [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(len(a))]
+    size = len(a)
+    out = [0] * size
+    for i in range(size):
+        for j in range(size - i):
+            out[i + j] += a[i] * b[j]
+    return out
 
 
 def _quotient_rule_strict_sweep(instances: int, seed: int) -> VerificationReport:

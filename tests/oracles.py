@@ -9,6 +9,7 @@ Slow on purpose, trusted because there is nothing to get wrong.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -207,6 +208,30 @@ def naive_product_rule_rhs(
             term = term * f.ht_derivative(i)
         rhs = term if rhs is None else rhs + term
     return rhs
+
+
+def profiled_calls(outer, name: str, call):
+    """Run ``call()`` under ``sys.setprofile`` and count the calls of the
+    function ``name`` defined inside the function ``outer`` (e.g. the
+    ``extend`` of a walk); returns the result and the count. The code under
+    test carries no counter of its own."""
+    target = next(
+        c for c in outer.__code__.co_consts if getattr(c, "co_name", None) == name
+    )
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is target:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, count
 
 
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import islice
 from math import comb
@@ -17,6 +18,7 @@ from hgcauchy.higher import weight_D
 from oracles import (
     naive_composition_sum,
     naive_weak_composition_sum,
+    profiled_calls,
     random_fraction,
 )
 
@@ -91,6 +93,80 @@ def test_weak_composition_sum_random_weights():
                 w[rng.randint(0, total)] = F(0)
             expected = naive_weak_composition_sum(w, total, parts)
             assert weak_composition_sum(w, total, parts) == expected
+
+
+@pytest.mark.parametrize("total, parts", [(8, 8)] + [(10, r) for r in range(1, 5)])
+@pytest.mark.parametrize("head", ["zero", "nonzero"])
+def test_weak_composition_sum_at_suite_shapes(total, parts, head):
+    # the weighted quotient sweep reaches (8, 8) and the weight enumeration
+    # (10, r); both the zero-part padding and the forced last part read w[0]
+    rng = random.Random(20261020 + 100 * total + parts)
+    w = [random_fraction(rng, nonzero=True) for _ in range(total + 1)]
+    if head == "zero":
+        w[0] = F(0)
+    expected = naive_weak_composition_sum(w, total, parts)
+    assert weak_composition_sum(w, total, parts) == expected
+
+
+def test_weak_walk_forms_only_prefixes_it_completes():
+    # one call per prefix of at most max(parts - 2, 0) parts that leaves
+    # something over: C(total + m, m); forming every prefix would make
+    # C(total + parts + 1, parts)
+    for total in range(1, 10):
+        w = [F(1)] * (total + 1)
+        for parts in range(1, 10):
+            m = max(parts - 2, 0)
+            sums, calls = profiled_calls(
+                weak_composition_sum,
+                "extend",
+                lambda: weak_composition_sum(w, total, parts),
+            )
+            assert calls == comb(total + m, m), (total, parts)
+            assert sums[parts] == comb(total + parts - 1, parts - 1)
+
+
+def test_strict_walk_call_count():
+    # one call for the root and one per composition of a total below t_max
+    for t_max in range(1, 13):
+        w = [F(1)] * (t_max + 1)
+        sums, calls = profiled_calls(
+            composition_sum, "extend", lambda: composition_sum(w, t_max)
+        )
+        assert calls == 2 ** (t_max - 1), t_max
+        assert sums[t_max] == 2 ** (t_max - 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: weak_composition_sum([F(1)], 3, 2),
+            "w supplies 1 terms, need 4 to read w[0..3]",
+        ),
+        (
+            lambda: weak_composition_sum([], 1, 1),
+            "w supplies 0 terms, need 2 to read w[0..1]",
+        ),
+        (
+            lambda: composition_sum([F(1)], 3),
+            "w supplies 1 terms, need 4 to read w[1..3]",
+        ),
+        (
+            lambda: composition_sum([F(0), F(2)], 2),
+            "w supplies 2 terms, need 3 to read w[1..2]",
+        ),
+    ],
+    ids=["weak", "weak-empty", "strict", "strict-one-short"],
+)
+def test_short_weight_lists_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_walks_without_parts_read_no_weights():
+    assert weak_composition_sum([], 0, 0) == [1]
+    assert weak_composition_sum([], 4, 0) == [0]
+    assert composition_sum([], 0) == [1]
 
 
 def test_weak_composition_sum_edges():

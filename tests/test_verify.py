@@ -1,5 +1,7 @@
+import random
 import sys
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
@@ -191,6 +193,18 @@ class TestProductRuleWalk:
         assert verify._product_rule_sweep(200, 1729).status == "pass"
         monkeypatch.setattr(verify, "_product_rule_rhs", off_by_one_at_the_end)
         assert verify._product_rule_sweep(200, 1729).status == "fail"
+
+
+def test_truncated_product_equals_slice_sums():
+    # the reference is the per-coefficient form sum_(i<=k) a[i] b[k-i],
+    # taken over slices; seeded lists with zeros and negative entries
+    rng = random.Random(20261018)
+    for size in range(1, 12):
+        for _ in range(20):
+            a = [rng.choice((0, rng.randint(-10**9, 10**9))) for _ in range(size)]
+            b = [rng.choice((0, rng.randint(-10**9, 10**9))) for _ in range(size)]
+            expected = [sum(map(mul, a[: k + 1], b[k::-1])) for k in range(size)]
+            assert verify._truncated_product(a, b) == expected
 
 
 class TestTrudiWalkSensitivity:
