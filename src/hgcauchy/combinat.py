@@ -6,7 +6,9 @@ of two walks, :func:`composition_sum` over strict compositions and
 its own integer product, built on the shared product of its prefix; no sum
 of prefixes is factored out, so neither walk turns into the series
 arithmetic it cross-checks. For sizes >= 1 the strict walk makes
-2^(t_max - 1) calls and the weak walk C(total + m, m), m = max(parts - 2, 0).
+2^max(t_max - 3, 0) calls: a prefix that leaves one or two is finished inline
+in its parent's loop, each of its completions still with one product and one
+add. The weak walk makes C(total + m, m), m = max(parts - 2, 0).
 The partition (Trudi) walk, :func:`~hgcauchy.hessenberg._trudi_walk`, and
 the product rule over series, ``verify._product_rule_rhs``, live next to
 what they sum. No module calls :func:`strict_compositions`,
@@ -61,10 +63,13 @@ def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
 
     One depth-first walk visits every composition of every total <= t_max
     once (2^(t-1) of total t) and shares each prefix product with all its
-    extensions. The products stay integers: with D the lcm of the
-    denominators of w[1 .. t_max], V[e] = w[e] D^e is an integer, a prefix of
-    total t is an integer over D^t, and one accumulator per total becomes one
-    Fraction at the end.
+    extensions. A prefix that leaves one or two is finished inline in its
+    parent's loop, by (1), or by (1), (1, 1) and (2), so the walk makes
+    2^max(t_max - 3, 0) calls; each composition still gets its own product
+    and its own add, and no tail sum is merged. The products stay integers:
+    with D the lcm of the denominators of w[1 .. t_max], V[e] = w[e] D^e is
+    an integer, a prefix of total t is an integer over D^t, and one
+    accumulator per total becomes one Fraction at the end.
     """
     t_max = _size(t_max, "t_max")
     if t_max and len(w) <= t_max:
@@ -76,12 +81,22 @@ def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
     acc = [1] + [0] * t_max
 
     def extend(total: int, prefix: int) -> None:
+        # a prefix that leaves t_max - total >= 3, or the root
         for e in range(1, t_max - total + 1):
             t = total + e
             product = prefix * V[e]
             acc[t] += product
-            if t < t_max:
+            left = t_max - t
+            if left > 2:
                 extend(t, product)
+            elif left == 2:
+                # (1), (1, 1) and (2) after it, each its own product and add
+                p1 = product * V[1]
+                acc[t + 1] += p1
+                acc[t_max] += p1 * V[1]
+                acc[t_max] += product * V[2]
+            elif left:
+                acc[t_max] += product * V[1]
 
     extend(0, 1)
     return [Fraction(acc[t], den**t) for t in range(t_max + 1)]

@@ -151,7 +151,10 @@ def _trudi_walk(band: Sequence[Fraction]) -> tuple[list[int], int]:
     the band's denominators: acc[s] / D^s sums multinomial(t) prod a_k^(t_k)
     over the multiplicity vectors t of n with sum t = s. One depth-first walk
     visits each t once, parts ascending with t copies each, carrying s, the
-    integer multinomial (M <- M*s//t per copy) and the band product over D^s."""
+    integer multinomial (M <- M*s//t per copy) and the band product over D^s.
+    A prefix of largest part k that leaves left < 2(k + 1) for parts > k has
+    one completion, the single part left; it gets its own product and add
+    inline, so the walk recurses only when left >= 2(k + 1)."""
     n = len(band)
     A, den = _scaled(band)
     acc = [int(n == 0)] + [0] * n  # the empty partition of 0
@@ -167,8 +170,11 @@ def _trudi_walk(band: Sequence[Fraction]) -> tuple[list[int], int]:
                 left = rest - k * t
                 if left == 0:
                     acc[sk] += ck * pk
-                elif left > k:
+                elif left >= 2 * k + 2:
                     extend(k + 1, left, sk, ck, pk)
+                elif left > k:
+                    # parts > k fill left < 2(k + 1) only as the one part left
+                    acc[sk + 1] += ck * (sk + 1) * pk * A[left - 1]
 
     extend(1, n, 0, 1, 1)
     return acc, den

@@ -210,20 +210,19 @@ def naive_product_rule_rhs(
     return rhs
 
 
-def profiled_calls(outer, name: str, call):
-    """Run ``call()`` under ``sys.setprofile`` and count the calls of the
-    function ``name`` defined inside the function ``outer`` (e.g. the
-    ``extend`` of a walk); returns the result and the count. The code under
-    test carries no counter of its own."""
+def profiled_arguments(outer, name: str, call):
+    """Run ``call()`` under ``sys.setprofile`` and record the arguments of
+    each call of the function ``name`` defined inside the function ``outer``
+    (e.g. the ``extend`` of a walk); returns the result and one dict per
+    call, in call order. The code under test carries no counter of its own."""
     target = next(
         c for c in outer.__code__.co_consts if getattr(c, "co_name", None) == name
     )
-    count = 0
+    arguments = []
 
     def profile(frame, event, arg):
-        nonlocal count
         if event == "call" and frame.f_code is target:
-            count += 1
+            arguments.append(dict(frame.f_locals))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -231,7 +230,13 @@ def profiled_calls(outer, name: str, call):
         result = call()
     finally:
         sys.setprofile(previous)
-    return result, count
+    return result, arguments
+
+
+def profiled_calls(outer, name: str, call):
+    """:func:`profiled_arguments`, counting the calls: the result and the count."""
+    result, arguments = profiled_arguments(outer, name, call)
+    return result, len(arguments)
 
 
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:

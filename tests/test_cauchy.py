@@ -132,6 +132,10 @@ class TestMethodAgreement:
             for method in ALL_METHODS[1:]:
                 assert method(N, 12).values == reference.values
 
+    def test_composition_walk_equals_the_solve_at_enum_caps_shape(self):
+        for N in (4, 8):
+            assert c_via_compositions(N, 20).values == c_via_series(N, 20).values
+
     def test_method_labels(self):
         assert c_via_series(1, 2).method == "series"
         assert c_via_trudi(1, 2).method == "trudi"

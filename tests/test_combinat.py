@@ -126,14 +126,36 @@ def test_weak_walk_forms_only_prefixes_it_completes():
 
 
 def test_strict_walk_call_count():
-    # one call for the root and one per composition of a total below t_max
+    # one call for the root and one per composition of a total below
+    # t_max - 2; a prefix that leaves one or two is finished in its parent
     for t_max in range(1, 13):
         w = [F(1)] * (t_max + 1)
         sums, calls = profiled_calls(
             composition_sum, "extend", lambda: composition_sum(w, t_max)
         )
-        assert calls == 2 ** (t_max - 1), t_max
+        assert calls == 2 ** max(t_max - 3, 0), t_max
         assert sums[t_max] == 2 ** (t_max - 1)
+
+
+@pytest.mark.parametrize("t_max", range(6))
+@pytest.mark.parametrize(
+    "zeros", [(), (1,), (2,), (1, 2)], ids=["none", "w1", "w2", "w1w2"]
+)
+def test_composition_sum_inline_tails(t_max, zeros):
+    # the tails of one and two read w[1] and w[2]; for t_max <= 3 the root's
+    # own loop finishes every composition
+    w = [F(0)] + [F(-(3 * e + 1), e + 2) for e in range(1, t_max + 1)]
+    for e in zeros:
+        if e <= t_max:
+            w[e] = F(0)
+    assert composition_sum(w, t_max) == naive_composition_sum(w, t_max)
+
+
+def test_composition_sum_deep_random_weights():
+    rng = random.Random(20261021)
+    for _ in range(2):
+        w = [random_fraction(rng) for _ in range(15)]
+        assert composition_sum(w, 14) == naive_composition_sum(w, 14)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hgcauchy.errors import CapExceeded
 from hgcauchy.hessenberg import (
     HessenbergSpec,
     PARTITION_CAP,
+    _trudi_walk,
     determinant_sequence,
     determinant_inversion_roundtrip,
     enumerate_partition_multiplicities,
@@ -19,6 +20,7 @@ from oracles import (
     dense_determinant,
     naive_trudi_sum,
     partition_count,
+    profiled_arguments,
     random_coefficients,
     random_fraction,
 )
@@ -96,6 +98,34 @@ class TestTrudi:
                 for m in range(n + 1):
                     spec = HessenbergSpec(super_entry, tuple(band[:m]))
                     assert seq[m] == naive_trudi_sum(spec)
+
+    @pytest.mark.parametrize("kind", ["zero", "negative", "mixed"])
+    def test_walk_equals_naive_sum_up_to_sixteen(self, kind):
+        # the walk adds a one-part completion inline; the oracle enumerates
+        # every multiplicity vector
+        rng = random.Random(SEED + 5)
+        for n in range(17):
+            if kind == "zero":
+                band = [F(0)] * n
+            elif kind == "negative":
+                band = [-random_fraction(rng, nonzero=True) ** 2 for _ in range(n)]
+            else:
+                band = [F(0) if k % 3 == 1 else random_fraction(rng) for k in range(n)]
+            for super_entry in (F(0), F(1), F(-3, 2)):
+                spec = HessenbergSpec(super_entry, tuple(band))
+                assert trudi_sum(spec) == naive_trudi_sum(spec), (kind, n)
+
+    def test_walk_recurses_only_where_two_parts_fit(self):
+        # a prefix whose parts > k cannot fill two slots has one completion,
+        # added inline: every call but the root can still place two parts
+        (acc, den), calls = profiled_arguments(
+            _trudi_walk, "extend", lambda: _trudi_walk([F(1)] * 14)
+        )
+        # all-ones band: the multinomials count the 2^13 compositions of 14
+        assert den == 1 and sum(acc) == 2**13
+        assert (calls[0]["first"], calls[0]["rest"]) == (1, 14)
+        assert len(calls) > 1
+        assert all(c["rest"] >= 2 * c["first"] for c in calls[1:])
 
     def test_empty_band(self):
         for super_entry in (F(0), F(1), F(-3, 2), F(7)):
