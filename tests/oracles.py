@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from hgcauchy.combinat import multinomial, strict_compositions, weak_compositions
 from hgcauchy.hessenberg import HessenbergSpec, enumerate_partition_multiplicities
@@ -130,6 +130,21 @@ def naive_composition_sum(w: list[Fraction], t_max: int) -> list[Fraction]:
                 product *= w[e]
             total += product
         out.append(total)
+    return out
+
+
+def naive_composition_denominators(dens: list[int], t_max: int) -> list[int]:
+    """For t = 0 .. t_max, the lcm over the strict compositions of t of the
+    products of the part denominators dens[e_j]: one product per tuple."""
+    out = []
+    for t in range(t_max + 1):
+        common = 1
+        for parts in strict_compositions(t):
+            product = 1
+            for e in parts:
+                product *= dens[e]
+            common = lcm(common, product)
+        out.append(common)
     return out
 
 

@@ -136,6 +136,10 @@ class TestMethodAgreement:
         for N in (4, 8):
             assert c_via_compositions(N, 20).values == c_via_series(N, 20).values
 
+    def test_composition_walk_equals_the_solve_at_a_huge_N(self):
+        N = 10**30
+        assert c_via_compositions(N, 14).values == c_via_series(N, 14).values
+
     def test_method_labels(self):
         assert c_via_series(1, 2).method == "series"
         assert c_via_trudi(1, 2).method == "trudi"

@@ -2,12 +2,14 @@ import random
 import re
 from fractions import Fraction as F
 from itertools import islice
-from math import comb
+from math import comb, factorial, lcm
 
 import pytest
 
+from hgcauchy.cauchy import c_via_series
 from hgcauchy.combinat import (
     STRICT_COMPOSITION_CAP,
+    _composition_denominators,
     composition_sum,
     multinomial,
     strict_compositions,
@@ -16,8 +18,10 @@ from hgcauchy.combinat import (
 )
 from hgcauchy.higher import weight_D
 from oracles import (
+    naive_composition_denominators,
     naive_composition_sum,
     naive_weak_composition_sum,
+    profiled_arguments,
     profiled_calls,
     random_fraction,
 )
@@ -135,6 +139,75 @@ def test_strict_walk_call_count():
         )
         assert calls == 2 ** max(t_max - 3, 0), t_max
         assert sums[t_max] == 2 ** (t_max - 1)
+
+
+def _chain_weights(N: int, t_max: int) -> list[F]:
+    # relations.chain_sum's gap weights N/(1-N) c(N-1, g+1)/(g+1)!, whose
+    # denominators nest through the factorials
+    previous = c_via_series(N - 1, t_max + 1).values
+    return [F(N, 1 - N) * v / factorial(t + 1) for t, v in enumerate(previous[1:])]
+
+
+MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127)
+
+# weights w[0 .. 12] where the lcm Q[t] the compositions of t need is far
+# below D^t, D the lcm of every part denominator
+WALK_SHAPES = {
+    "ratios-N5": [F(5, 5 + e) for e in range(13)],
+    "chain-N8": _chain_weights(8, 12),
+    "factorials": [F((-1) ** e * (e + 2), factorial(e)) for e in range(13)],
+    "mersenne": [F(0)]
+    + [F((-1) ** e * (e + 1), 2**p - 1) for e, p in enumerate(MERSENNE_EXPONENTS, 1)],
+    "ratios-N1e30": [F(10**30, 10**30 + e) for e in range(13)],
+    "integers": [0] + [(-1) ** e * (e % 4) * e for e in range(1, 13)],
+    "zeros": [F(0)] * 13,
+    "some-zeros": [F(0) if e % 3 == 1 else F(e, e + 7) for e in range(13)],
+    "negative": [F(-(2 * e + 1), 3 * e + 2) for e in range(13)],
+}
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+def test_composition_sum_where_q_is_far_below_d_power(shape):
+    w = WALK_SHAPES[shape]
+    assert composition_sum(w, 12) == naive_composition_sum(w, 12)
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+def test_composition_denominators_are_the_lcm_over_compositions(shape):
+    dens = [F(v).denominator for v in WALK_SHAPES[shape]]
+    Q = _composition_denominators(dens, 10)
+    assert Q == naive_composition_denominators(dens, 10)
+    D = lcm(*dens[1:11])
+    assert all(D**t % Q[t] == 0 for t in range(11))
+
+
+def test_strict_walk_prefixes_stay_within_their_denominator():
+    # each ratio N/(N + e) is below 1, so a prefix kept over Q[total] is at
+    # most Q[total]; a prefix kept over D^total is not
+    N, t_max = 5, 14
+    w = [F(N, N + e) for e in range(t_max + 1)]
+    Q = naive_composition_denominators([v.denominator for v in w], t_max)
+    sums, calls = profiled_arguments(
+        composition_sum, "extend", lambda: composition_sum(w, t_max)
+    )
+    assert len(calls) == 2 ** (t_max - 3)
+    assert all(abs(call["prefix"]) <= Q[call["total"]] for call in calls)
+    assert sums == naive_composition_sum(w, t_max)
+
+
+@pytest.mark.parametrize(
+    "call, got",
+    [
+        (lambda: composition_sum([0, 0.5, 0.25], 2), "float 0.5"),
+        (lambda: composition_sum([0, True, 1], 2), "bool True"),
+        (lambda: weak_composition_sum([0.5, 0.25], 1, 2), "float 0.5"),
+        (lambda: weak_composition_sum([1, False], 1, 2), "bool False"),
+    ],
+    ids=["strict-float", "strict-bool", "weak-float", "weak-bool"],
+)
+def test_walks_take_exact_weights_only(call, got):
+    with pytest.raises(TypeError, match=f"must be an int or a Fraction, got {got}"):
+        call()
 
 
 @pytest.mark.parametrize("t_max", range(6))

@@ -124,6 +124,10 @@ class TestMethodAgreement:
                 for method in HIGHER_METHODS[1:]:
                     assert method(N, r, 10).values == reference.values
 
+    def test_explicit_equals_the_recurrence_at_a_huge_N(self):
+        N = 10**12
+        assert chor_via_explicit(N, 3, 12).values == chor_via_recurrence(N, 3, 12).values
+
     def test_order_one_reduces_to_first_order(self):
         reference = c_via_series(2, 10)
         for method in HIGHER_METHODS:

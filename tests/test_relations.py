@@ -96,6 +96,10 @@ class TestChainExpansion:
             report = chain_sum(N, 12)
             assert report.status == "pass", report
 
+    def test_identity_at_the_cap(self):
+        report = chain_sum(8, CHAIN_CAP)
+        assert report.status == "pass", report
+
     def test_trivial_chain_reproduces_previous_table(self):
         # the length-one chain (n,) contributes c(N-1, n) itself
         previous = c_via_series(2, 6).values
