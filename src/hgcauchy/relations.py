@@ -88,7 +88,7 @@ def descending_chains(n: int) -> Iterator[ChainIndex]:
 def _tables(N: int, n_max: int) -> tuple[list[Fraction], list[Fraction]]:
     """Values for N and N-1; the N-1 table reaches one index further because
     both identities consume c(N-1, n+1)."""
-    if N < 2:
+    if _integer(N, "N") < 2:
         raise ValueError(f"relations need N >= 2, got {N}")
     current = list(c_via_series(N, n_max).values)
     previous = list(c_via_series(N - 1, n_max + 1).values)

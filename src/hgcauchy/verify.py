@@ -4,7 +4,9 @@ Each suite walks one family of identities over a parameter grid and returns a
 deterministic list of :class:`VerificationReport` records; ``run_suites`` is
 what the command line drives. Reports appear in a fixed order and random
 sweeps draw from a fixed documented seed, so two runs with equal flags emit
-byte-identical output.
+byte-identical output. Every suite takes its grid arguments by the rules of
+the ``verify`` flags (:func:`_grid`), so a call the command line would refuse
+raises TypeError or ValueError here too.
 
 The two method-agreement records compare computations, not route names
 (:func:`_method_agreement`). ``core/method-agreement`` compares the three
@@ -32,6 +34,7 @@ from operator import add, mul
 
 from . import cauchy, higher, relations
 from .combinat import composition_sum, weak_composition_sum
+from .errors import _integer, _size
 from .hessenberg import _inversion_chain, _recovery_record, _signed_bands_record
 from .report import VerificationReport, check, erratum
 from .series import (
@@ -58,6 +61,22 @@ __all__ = [
 DEFAULT_SEED = 1729
 # numerators and denominators of generated rationals stay within +/- 50
 RANDOM_BOUND = 50
+
+
+def _grid(N_max, r_max, n_max, capped) -> tuple[int, int, int, bool]:
+    """The grid arguments every suite takes, by the rules of the ``verify``
+    flags: ``N_max`` and ``r_max`` are integers >= 1, ``n_max`` meets the
+    :func:`~hgcauchy.errors._size` rule and ``capped`` is a bool. A bool or a
+    value that is not integral raises TypeError naming the argument."""
+    N_max, r_max = _integer(N_max, "N_max"), _integer(r_max, "r_max")
+    for name, value in (("N_max", N_max), ("r_max", r_max)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if not isinstance(capped, bool):
+        raise TypeError(
+            f"capped must be a bool, got {type(capped).__name__} {capped!r}"
+        )
+    return N_max, r_max, _size(n_max, "n_max"), capped
 
 
 def _random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:
@@ -113,6 +132,7 @@ def core_suite(
     """First-order identities: the composition and Trudi walks against the
     solve (``series``), the defining residual, closed forms, classical
     specializations, and the printed-variant erratum."""
+    N_max, r_max, n_max, capped = _grid(N_max, r_max, n_max, capped)
     records = []
     for N in range(1, N_max + 1):
         record, tables = _method_agreement(
@@ -213,6 +233,7 @@ def higher_suite(
     """Order-r identities: the four order-r computations against the solve,
     the weak-composition residual, weight cross-checks, closed forms, and the
     power-identity example erratum."""
+    N_max, r_max, n_max, capped = _grid(N_max, r_max, n_max, capped)
     records = []
     for N in range(1, N_max + 1):
         for r in range(1, r_max + 1):
@@ -303,6 +324,7 @@ def relations_suite(
     N_max: int = 4, r_max: int = 3, n_max: int = 12, capped: bool = True
 ) -> list[VerificationReport]:
     """Cross-order identities, N against N-1; always covers at least N = 2."""
+    N_max, r_max, n_max, capped = _grid(N_max, r_max, n_max, capped)
     chain_cap = relations.CHAIN_CAP if capped else None
     chain_top = min(n_max, relations.CHAIN_CAP) if capped else n_max
     records = []
@@ -323,6 +345,7 @@ def inversion_suite(
     builds one inversion chain and its three records read it; the chain's
     alpha is the normalized table by Glaisher's determinant, which ``core``
     and ``higher`` check against the composition and Trudi walks."""
+    N_max, r_max, n_max, capped = _grid(N_max, r_max, n_max, capped)
     Ns = range(1, N_max + 1)
     grid = [(N, 1) for N in Ns] + [(N, r) for N in Ns for r in range(2, r_max + 1)]
     rules = {(N, r): higher.weight_D(N, r, n_max).values[1:] for N, r in grid}
@@ -358,6 +381,8 @@ def series_rules_suite(
 ) -> list[VerificationReport]:
     """Seeded random sweeps of the series laws plus the sequence-transform
     identities and the transform-direction erratum."""
+    N_max, r_max, n_max, capped = _grid(N_max, r_max, n_max, capped)
+    instances, seed = _size(instances, "instances"), _integer(seed, "seed")
     records = [
         _reciprocal_unit_product(seed),
         _product_rule_sweep(instances, seed),

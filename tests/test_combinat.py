@@ -210,18 +210,40 @@ def test_walks_take_exact_weights_only(call, got):
         call()
 
 
-@pytest.mark.parametrize("t_max", range(6))
+@pytest.mark.parametrize("t_max", range(7))
 @pytest.mark.parametrize(
-    "zeros", [(), (1,), (2,), (1, 2)], ids=["none", "w1", "w2", "w1w2"]
+    "zeros",
+    [(), (1,), (2,), (1, 2), ("last",), (1, "last"), (2, "last"), (1, 2, "last")],
+    ids=["none", "w1", "w2", "w1w2", "wlast", "w1wlast", "w2wlast", "w1w2wlast"],
 )
 def test_composition_sum_inline_tails(t_max, zeros):
-    # the tails of one and two read w[1] and w[2]; for t_max <= 3 the root's
-    # own loop finishes every composition
+    # every call closes the children that leave two (with (1), (1, 1) and
+    # (2) after it), one (with (1)) and nothing in straight-line code,
+    # reading w[1], w[2] and w[t_max - total]; below t_max = 3 some of the
+    # root's three lie past t_max, where the walk runs on zero weights
     w = [F(0)] + [F(-(3 * e + 1), e + 2) for e in range(1, t_max + 1)]
     for e in zeros:
-        if e <= t_max:
+        e = t_max if e == "last" else e
+        if 1 <= e <= t_max:
             w[e] = F(0)
     assert composition_sum(w, t_max) == naive_composition_sum(w, t_max)
+
+
+def test_strict_walk_recurses_only_where_three_are_left():
+    # the root, then one call per prefix of total t <= t_max - 3: 2^(t - 1)
+    # of each total
+    for t_max in range(13):
+        w = [F(e + 1, e + 3) for e in range(t_max + 1)]
+        sums, calls = profiled_arguments(
+            composition_sum, "extend", lambda: composition_sum(w, t_max)
+        )
+        assert (calls[0]["total"], calls[0]["prefix"]) == (0, 1)
+        totals = [call["total"] for call in calls[1:]]
+        assert all(1 <= t <= t_max - 3 for t in totals), t_max
+        assert {t: totals.count(t) for t in set(totals)} == {
+            t: 2 ** (t - 1) for t in range(1, t_max - 2)
+        }
+        assert sums == naive_composition_sum(w, t_max)
 
 
 def test_composition_sum_deep_random_weights():

@@ -37,6 +37,21 @@ class TestCrossOrderStep:
         with pytest.raises(ValueError):
             cross_order_step(1, 5)
 
+    @pytest.mark.parametrize(
+        "relation",
+        [cross_order_step, chain_sum, lambda N, n: chain_example_first(N)],
+        ids=["cross-order-step", "chain-sum", "chain-example"],
+    )
+    @pytest.mark.parametrize(
+        "N, message",
+        [(True, "N must be an integer, not bool"), (2.0, "N must be an integer, got float")],
+        ids=["bool", "float"],
+    )
+    def test_N_type_is_checked_before_its_bound(self, relation, N, message):
+        # True < 2 holds, so a bound checked first would raise ValueError
+        with pytest.raises(TypeError, match=message):
+            relation(N, 3)
+
 
 class TestChainEnumeration:
     def test_counts_match_subset_oracle(self):

@@ -4,17 +4,18 @@ guards on the package's own source.
 The benchmark replays CLI argv lines against the stdout digests in
 ``bench/golden.json`` and traces the functions named in ``bench/tracer.py``;
 both break silently if the package drifts, so both are checked here in
-tier 1: the ``verify`` and ``invert`` lines and every ``compute`` line except
-the five slowest (``compositions`` at n = 20), each once. ``golden.json`` is
-only read, never re-recorded. The source guards read ``src/hgcauchy`` with
-``ast``: no module imports a name it does not use, the package's star
-re-exports never bind one name twice, each input rule is stated in one place
-(caps and sizes in ``errors``, flag bounds where ``cli`` declares the flags),
-fail records are built only in ``report``, the inverse bands are solved only
-in the ``hessenberg`` inversion chain, no module calls the one-tuple-at-a-time
-reference enumerators, and no module imports ``dataclasses`` or
-``typing``, so a CLI process loads neither (nor ``inspect``, which
-``dataclasses`` pulls in).
+tier 1: the ``verify`` and ``invert`` lines and every ``compute`` line, each
+once, the five slowest (``compositions`` at n = 20) in a test of their own.
+``golden.json`` is only read, never re-recorded. The source guards read
+``src/hgcauchy`` with ``ast``: no module imports a name it does not use, the
+package's star re-exports never bind one name twice, each input rule is
+stated in one place (caps and sizes in ``errors``, flag bounds where ``cli``
+declares the flags, suite arguments in ``verify._grid``), fail records are
+built only in ``report``, the inverse bands are solved only in the
+``hessenberg`` inversion chain, no module calls the one-tuple-at-a-time
+reference enumerators, and no module imports ``dataclasses`` or ``typing``,
+so a CLI process loads neither (nor ``inspect``, which ``dataclasses`` pulls
+in).
 """
 
 import ast
@@ -42,13 +43,14 @@ VERIFY_LINES = sorted(line for line in GOLDEN if line.startswith("verify "))
 INVERT_LINES = sorted(line for line in GOLDEN if line.startswith("invert "))
 TRUDI_LINES = sorted(line for line in GOLDEN if line.endswith("--method trudi"))
 # every compute line but the five compositions tables at n = 20, which take
-# longer than all the others together
+# longer than all the others together and replay in their own test
 SLOWEST = "--n-max 20 --method compositions"
 COMPUTE_LINES = sorted(
     line
     for line in GOLDEN
     if line.startswith("compute ") and not line.endswith(SLOWEST)
 )
+SLOWEST_LINES = sorted(line for line in GOLDEN if line.endswith(SLOWEST))
 
 
 def test_golden_file_holds_the_verify_lines():
@@ -102,6 +104,15 @@ def test_compute_stdout_matches_golden_digest(method):
     lines = [line for line in COMPUTE_LINES if line.endswith(f"--method {method}")]
     assert lines
     assert [line for line in lines if _stdout_digest(line) != GOLDEN[line]] == []
+
+
+def test_golden_file_holds_the_slowest_compute_lines():
+    assert len(SLOWEST_LINES) == 5
+
+
+@pytest.mark.parametrize("line", SLOWEST_LINES)
+def test_slowest_compute_stdout_matches_golden_digest(line):
+    assert _stdout_digest(line) == GOLDEN[line]
 
 
 def _load_tracer():

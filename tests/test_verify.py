@@ -138,6 +138,64 @@ class TestSuites:
         assert all(r.status == "pass" for r in records)
 
 
+class TestSuiteArguments:
+    # the rules of the verify flags, for every suite and for run_suites
+    @pytest.fixture(params=["run_suites", *verify.SUITE_NAMES])
+    def run(self, request):
+        if request.param == "run_suites":
+            return lambda **kw: run_suites("all", **kw)
+        return verify._SUITE_FUNCTIONS[request.param]
+
+    @pytest.mark.parametrize("name", ["N_max", "r_max", "n_max"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "must be an integer, not bool"),
+            (2.0, "must be an integer, got float 2.0"),
+            (F(2), "must be an integer, got Fraction"),
+        ],
+        ids=["bool", "float", "fraction"],
+    )
+    def test_sizes_must_be_integers(self, run, name, value, message):
+        with pytest.raises(TypeError, match=f"^{name} {message}"):
+            run(**{name: value})
+
+    @pytest.mark.parametrize("name", ["N_max", "r_max"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_grid_bounds_are_at_least_one(self, run, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+            run(**{name: value})
+
+    def test_n_max_is_non_negative(self, run):
+        with pytest.raises(ValueError, match="^n_max must be non-negative, got -1$"):
+            run(n_max=-1)
+
+    @pytest.mark.parametrize("value", [1, 0, None, "yes"])
+    def test_capped_must_be_a_bool(self, run, value):
+        with pytest.raises(TypeError, match="^capped must be a bool, got "):
+            run(capped=value)
+
+    @pytest.mark.parametrize(
+        "kw, error, message",
+        [
+            ({"instances": True}, TypeError, "^instances must be an integer, not bool"),
+            ({"instances": 20.0}, TypeError, "^instances must be an integer, got float"),
+            ({"instances": -1}, ValueError, "^instances must be non-negative, got -1$"),
+            ({"seed": False}, TypeError, "^seed must be an integer, not bool"),
+            ({"seed": 1729.0}, TypeError, "^seed must be an integer, got float"),
+        ],
+        ids=["instances-bool", "instances-float", "instances-negative", "seed-bool", "seed-float"],
+    )
+    def test_series_rules_sweep_arguments(self, kw, error, message):
+        with pytest.raises(error, match=message):
+            series_rules_suite(N_max=1, r_max=1, n_max=2, **kw)
+
+    def test_smallest_grid_and_negative_seed_still_run(self):
+        assert run_suites("core", N_max=1, r_max=1, n_max=0)
+        records = series_rules_suite(N_max=1, r_max=1, n_max=2, instances=0, seed=-5)
+        assert all(r.status != "fail" for r in records)
+
+
 class TestStrictSweepSensitivity:
     def test_walk_wrong_at_its_last_total_fails_the_sweep(self, monkeypatch):
         walk = verify.composition_sum
