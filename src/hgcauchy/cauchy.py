@@ -24,7 +24,8 @@ D_r(k) at order r) and scaled once by :meth:`CauchyTable.from_normalized`:
 the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`
 (``series``, ``recurrence``, ``determinant``), the composition walk
 (``compositions``, ``explicit``), the Trudi walk (``trudi``) and, in
-``higher``, the r-th power of the first-order series (``convolution``).
+``higher``, the r-th power of the first-order series by Miller's
+recurrence (``convolution``).
 The two walks share no arithmetic with the solve, so at r = 1 the
 ``core/method-agreement`` record of :mod:`hgcauchy.verify` compares one
 route of each: ``series``, ``compositions`` and ``trudi``, and ``higher``

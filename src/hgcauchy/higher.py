@@ -12,12 +12,14 @@ the e-th coefficient of (sum_j N/(N+j) x^j)^r, so F_N(x)^r has coefficients
 over the computations of :mod:`hgcauchy.cauchy` on the bands D_r(k), so at
 r = 1 each returns the first-order table: ``recurrence`` and ``determinant``
 hand the Toeplitz solve one list, ``explicit`` reaches the composition walk
-and ``trudi`` the Trudi walk. ``convolution`` raises the first-order table
-to the r-th power and never touches the weights. ``higher/method-agreement``
-in :mod:`hgcauchy.verify` compares the four computations, one route each,
-at every r from 1 against ``recurrence``. :data:`ROUTES`, the one table of
-the seven ``--method`` names, lives here, in the one module that imports
-both route families.
+and ``trudi`` the Trudi walk. ``convolution`` raises the normalized
+first-order series to the r-th power by Miller's recurrence
+(:func:`~hgcauchy.series._power_by_recurrence`) and never touches the
+weights, nor the square-and-multiply power that builds them.
+``higher/method-agreement`` in :mod:`hgcauchy.verify` compares the four
+computations, one route each, at every r from 1 against ``recurrence``.
+:data:`ROUTES`, the one table of the seven ``--method`` names, lives here,
+in the one module that imports both route families.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .cauchy import (
     _trudi_table,
     c_via_compositions,
     c_via_series,
+    hgc_generating_series,
 )
 from .combinat import STRICT_COMPOSITION_CAP, weak_composition_sum
 from .errors import _integer, _Record
@@ -48,7 +51,7 @@ from .hessenberg import (
     _signed_bands_record,
 )
 from .report import VerificationReport, passed
-from .series import TruncatedSeries, _fraction
+from .series import TruncatedSeries, _fraction, _power_by_recurrence
 
 __all__ = [
     "WeightTable",
@@ -227,12 +230,16 @@ def chor_via_convolution(N: int, r: int, n_max: int) -> CauchyTable:
         c^(r)(N, n) = sum over (n_1, .., n_r) >= 0 with n_1+..+n_r = n
                       of n!/(n_1! .. n_r!) c(N, n_1) .. c(N, n_r),
 
-    realized as the r-th power of the normalized first-order series. Never
-    touches the weights D_r, so it cross-checks the other four routes.
+    realized as the r-th power of the normalized first-order series
+    b = 1/F_N, taken by Miller's recurrence
+    (:func:`~hgcauchy.series._power_by_recurrence`) and scaled once. Never
+    touches the weights D_r, nor the square-and-multiply power that builds
+    them, so it cross-checks the other four routes.
     """
     _check_parameters(N, n_max, r)
-    powered = TruncatedSeries(tuple(c_via_series(N, n_max).normalized())).power(r)
-    return CauchyTable.from_normalized(N, r, powered.coefficients, "convolution")
+    normalized = hgc_generating_series(N, n_max).reciprocal().coefficients
+    powered = _power_by_recurrence(normalized, r)
+    return CauchyTable.from_normalized(N, r, powered, "convolution")
 
 
 Route = namedtuple("Route", ("compute", "cap", "any_order"))

@@ -78,11 +78,15 @@ class ChainIndex(_Record):
 
 def descending_chains(n: int) -> Iterator[ChainIndex]:
     """All 2^n chains with head n: subsets of {0, .., n-1} in ascending size,
-    lexicographic within each size, listed in decreasing order after the head."""
-    _size(n, "n")
-    for m in range(n + 1):
-        for subset in combinations(range(n), m):
-            yield ChainIndex((n,) + tuple(sorted(subset, reverse=True)))
+    lexicographic within each size, listed in decreasing order after the head.
+    ``n`` is checked when called, not when the chains are first iterated."""
+
+    def walk(n: int) -> Iterator[ChainIndex]:
+        for m in range(n + 1):
+            for subset in combinations(range(n), m):
+                yield ChainIndex((n,) + tuple(sorted(subset, reverse=True)))
+
+    return walk(_size(n, "n"))
 
 
 def _tables(N: int, n_max: int) -> tuple[list[Fraction], list[Fraction]]:

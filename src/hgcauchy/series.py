@@ -4,17 +4,22 @@ Coefficients are ``fractions.Fraction`` throughout; every operation is exact.
 A series always carries its truncation order, and a binary operation truncates
 its result to the smaller order of the two operands.
 
-Products and reciprocals go through two kernels, :func:`_convolve` and
-:func:`toeplitz_solve`. Each scales its left operand (the product's ``a``,
-the solve's input) once to integers over their common denominator, and keeps
-the other side (the product's ``b``, the solve's outputs) as integers over
-the running lcm of its denominators. Every dot product is then one Horner
-sum in plain integers (:func:`_horner`), reduced once per output coefficient
-(delayed normalization), instead of paying a gcd for each term the way a
-running ``Fraction`` sum does. A term is only as wide as the denominators
+Products, reciprocals and powers go through three kernels: :func:`_convolve`,
+:func:`toeplitz_solve` and :func:`_power_by_recurrence` (J.C.P. Miller's
+power recurrence). Each scales its left operand (the product's ``a``, the
+solve's and the power's input) once to integers over their common
+denominator, and keeps the other side (the product's ``b``, the outputs of
+the solve and of the power) as integers over the running lcm of its
+denominators. Every dot product is then one Horner sum in plain integers
+(:func:`_horner`), reduced once per output coefficient (delayed
+normalization), instead of paying a gcd for each term the way a running
+``Fraction`` sum does. A term is only as wide as the denominators
 met so far. Every triangular Toeplitz solve in the package (series
 reciprocal, determinant recurrence, band inversion, the recurrence routes)
-is a call to :func:`toeplitz_solve`.
+is a call to :func:`toeplitz_solve`. :meth:`TruncatedSeries.power` takes
+square-and-multiply products and builds the weights of the order-r routes;
+:func:`_power_by_recurrence` takes one O(n^2) pass for any exponent and
+serves only the ``convolution`` route, so the two powers check each other.
 
 The divided-power derivative implemented here sends x^m to C(m, n) x^(m-n)
 (no factorial in front), which is the convenient normalization when formulas
@@ -235,6 +240,38 @@ def toeplitz_solve(a: Sequence[Fraction]) -> list[Fraction]:
     for k in range(len(A)):
         rhs = da if k == 0 else -_horner(m, Y, A[k:0:-1])
         value = Fraction(rhs, a0 * L)
+        out.append(value)
+        y, grow, L = _over_running_lcm(value, L)
+        Y.append(y)
+        m.append(grow)
+    return out
+
+
+def _power_by_recurrence(a: Sequence[Fraction], exponent: int) -> list[Fraction]:
+    """Coefficients 0 .. len(a) - 1 of the ``exponent``-th power of the
+    series ``a`` by J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7):
+    P_0 = a_0^r and k a_0 P_k = sum_{j=1..k} ((r+1) j - k) a_j P_(k-j).
+
+    ``a[0]`` must be nonzero. Built as :func:`toeplitz_solve` is: the inputs
+    are scaled once to integers A over their common denominator, which
+    cancels from both sides, and output k is kept as Y[k] over L_k, the
+    running lcm of the output denominators. Each dot product is one
+    :func:`_horner` over the coefficients ((r+1)(k-i) - k) A[k-i], so
+    P_k = acc / (k A_0 L_(k-1)): one Fraction per coefficient, O(n^2)
+    multiply-adds for any exponent, and no product of two series.
+    """
+    r = _size(exponent, "exponent")
+    if a[0] == 0:
+        raise ZeroConstantTerm("Miller's recurrence needs a nonzero constant term")
+    A, _ = _scaled(a)
+    a0 = A[0]
+    step = r + 1
+    out = [a[0] ** r]
+    y, grow, L = _over_running_lcm(out[0], 1)
+    Y, m = [y], [grow]
+    for k in range(1, len(A)):
+        coeffs = [(step * j - k) * A[j] for j in range(k, 0, -1)]
+        value = Fraction(_horner(m, Y, coeffs), k * a0 * L)
         out.append(value)
         y, grow, L = _over_running_lcm(value, L)
         Y.append(y)

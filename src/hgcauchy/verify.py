@@ -15,7 +15,9 @@ composition walk (``compositions``) and the Trudi walk (``trudi``); the
 other routes rerun one of these at r = 1. ``higher/method-agreement``
 compares the four of c^(r)(N, n) at every r from 1: the solve
 (``recurrence``), the two walks (``explicit``, ``trudi``) and the r-th power
-of the first-order series (``convolution``); ``determinant`` reruns the solve.
+of the first-order series (``convolution``), whose power by Miller's
+recurrence shares no series product with the square-and-multiply power
+behind the weights D_r; ``determinant`` reruns the solve.
 
 The erratum-noted records: four identities fail as literally printed in the
 source material this package was transcribed from, while their corrected

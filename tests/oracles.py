@@ -8,11 +8,15 @@ Slow on purpose, trusted because there is nothing to get wrong.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 import sys
 from fractions import Fraction
 from math import factorial, lcm
+from types import CodeType
 
+import hgcauchy
 from hgcauchy.combinat import multinomial, strict_compositions, weak_compositions
 from hgcauchy.hessenberg import HessenbergSpec, enumerate_partition_multiplicities
 from hgcauchy.series import TruncatedSeries
@@ -225,6 +229,17 @@ def naive_product_rule_rhs(
     return rhs
 
 
+def denominator_bound(N: int, n: int) -> int:
+    """Q_n(N) = prod_{k=1..n} (N+k)^floor(n/k): the nonzero parts of the
+    compositions behind c^(r)(N, n)/n! form a partition of n, in which part
+    k occurs at most floor(n/k) times, so Q_n(N) is a multiple of its
+    denominator."""
+    bound = 1
+    for k in range(1, n + 1):
+        bound *= (N + k) ** (n // k)
+    return bound
+
+
 def profiled_arguments(outer, name: str, call):
     """Run ``call()`` under ``sys.setprofile`` and record the arguments of
     each call of the function ``name`` defined inside the function ``outer``
@@ -252,6 +267,51 @@ def profiled_calls(outer, name: str, call):
     """:func:`profiled_arguments`, counting the calls: the result and the count."""
     result, arguments = profiled_arguments(outer, name, call)
     return result, len(arguments)
+
+
+def _function_names() -> dict:
+    """``module.qualname`` (``series.TruncatedSeries.power``) of the code of
+    every function and method defined in ``hgcauchy``, nested functions
+    included; nested comprehensions and lambdas are left out."""
+    names = {}
+
+    def add(code, qualname):
+        names[code] = qualname
+        for const in code.co_consts:
+            if isinstance(const, CodeType) and not const.co_name.startswith("<"):
+                add(const, f"{qualname}.<locals>.{const.co_name}")
+
+    for info in pkgutil.iter_modules(hgcauchy.__path__):
+        module = importlib.import_module(f"hgcauchy.{info.name}")
+        members = list(vars(module).values())
+        for cls in [m for m in members if isinstance(m, type)]:
+            for m in vars(cls).values():
+                members.append(getattr(m, "fget", None) or getattr(m, "__func__", m))
+        for member in members:
+            code = getattr(member, "__code__", None)
+            if code is not None and member.__module__ == module.__name__:
+                add(code, f"{info.name}.{member.__qualname__}")
+    return names
+
+
+def profiled_functions(call) -> set[str]:
+    """The ``hgcauchy`` functions ``call()`` runs, recorded under
+    ``sys.setprofile`` like :func:`profiled_arguments` and named as
+    :func:`_function_names` names them."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    names = _function_names()
+    return {names[code] for code in codes if code in names}
 
 
 def random_fraction(rng: random.Random, nonzero: bool = False) -> Fraction:

@@ -22,7 +22,7 @@ from hgcauchy.higher import (
     weight_reference_form,
     weight_reference_mismatches,
 )
-from oracles import brute_weight, naive_product, naive_reciprocal
+from oracles import brute_weight, denominator_bound, naive_product, naive_reciprocal
 
 HIGHER_METHODS = (
     chor_via_recurrence,
@@ -136,6 +136,34 @@ class TestMethodAgreement:
     def test_known_second_order_value(self):
         # c^(2)(1, 2) = 2! (D_2(1)^2 - D_2(2)) = 2 (1 - 11/12) = 1/6
         assert chor_via_recurrence(1, 2, 2).values[2] == F(1, 6)
+
+
+# the deep-tables shapes of the convolution route, and one huge N
+CONVOLUTION_POINTS = ((22, 3, 120), (20, 3, 120), (10**12, 2, 30))
+
+
+@pytest.fixture(scope="module")
+def convolution_tables():
+    return {point: chor_via_convolution(*point) for point in CONVOLUTION_POINTS}
+
+
+class TestConvolutionByMillersRecurrence:
+    @pytest.mark.parametrize("point", CONVOLUTION_POINTS, ids=str)
+    def test_equals_the_recurrence(self, convolution_tables, point):
+        expected = chor_via_recurrence(*point).values
+        assert convolution_tables[point].values == expected
+
+    @pytest.mark.parametrize("point", CONVOLUTION_POINTS, ids=str)
+    def test_normalized_values_divide_the_denominator_bound(
+        self, convolution_tables, point
+    ):
+        N = point[0]
+        for n, b in enumerate(convolution_tables[point].normalized()):
+            assert denominator_bound(N, n) % b.denominator == 0, n
+
+    def test_first_order_table_divides_the_denominator_bound(self):
+        for n, b in enumerate(c_via_series(17, 200).normalized()):
+            assert denominator_bound(17, n) % b.denominator == 0, n
 
 
 class TestDefiningResidual:

@@ -10,7 +10,7 @@ import pytest
 
 from hgcauchy.errors import ZeroConstantTerm
 from hgcauchy.hessenberg import determinant_sequence, unit_lower_toeplitz_inverse
-from hgcauchy.series import TruncatedSeries, toeplitz_solve
+from hgcauchy.series import TruncatedSeries, _power_by_recurrence, toeplitz_solve
 from oracles import (
     naive_determinant_sequence,
     naive_product,
@@ -169,9 +169,9 @@ class TestProductOverRunningLcm:
     denominators: each shape exercises one part of the Horner sum."""
 
     def test_deep_tables_shape(self):
-        # the normalized first-order table at N = 22, n = 120, as the
-        # convolution route powers it: squared on the same object, then the
-        # square times itself
+        # the normalized first-order table at N = 22, n = 120, whose
+        # denominators grow at every index: squared on the same object, then
+        # the square times itself
         b = naive_reciprocal(gauss_series(22, 120))
         assert all(g > 1 for g in running_lcm_growth(b)[1:])
         s = TruncatedSeries(tuple(b))
@@ -214,3 +214,50 @@ class TestProductOverRunningLcm:
         for left, right in ((a, b), (b, a), (a, a)):
             s, t = TruncatedSeries(tuple(left)), TruncatedSeries(tuple(right))
             assert list((s * t).coefficients) == naive_product(left, right)
+
+
+class TestPowerByRecurrence:
+    """Miller's power recurrence against square-and-multiply and against
+    chains of naive products: two other ways to the same power."""
+
+    @staticmethod
+    def seeded_series(rng, order):
+        """A mixed, an all-negative and a sparse series, none with a_0 = 1."""
+        mixed = random_series(rng, order)
+        if mixed[0] == 1:
+            mixed[0] = F(-5, 3)
+        negative = [-abs(c) or F(-1, 7) for c in random_series(rng, order)]
+        sparse = [F(3, 2)] + [
+            random_fraction(rng) if rng.random() < 0.3 else F(0)
+            for _ in range(order)
+        ]
+        return mixed, negative, sparse
+
+    def test_matches_power_and_naive_chains(self):
+        rng = random.Random(SEED + 5)
+        for order in (0, 1, 2, 3, 5, 8, 13, 21, 34, 40):
+            for a in self.seeded_series(rng, order):
+                s = TruncatedSeries(tuple(a))
+                chain = [F(1)] + [F(0)] * order
+                for exponent in range(7):
+                    powered = _power_by_recurrence(a, exponent)
+                    assert powered == chain, (order, exponent)
+                    assert powered == list(s.power(exponent).coefficients)
+                    chain = naive_product(chain, a)
+
+    def test_zero_constant_term_rejected(self):
+        for exponent in (0, 1, 3):
+            with pytest.raises(ZeroConstantTerm):
+                _power_by_recurrence([F(0), F(1), F(2, 3)], exponent)
+
+    @pytest.mark.parametrize(
+        "exponent, error, message",
+        [
+            (True, TypeError, "exponent must be an integer, not bool"),
+            (2.0, TypeError, "exponent must be an integer, got float 2.0"),
+            (-1, ValueError, "exponent must be non-negative, got -1"),
+        ],
+    )
+    def test_exponent_must_be_a_size(self, exponent, error, message):
+        with pytest.raises(error, match=message):
+            _power_by_recurrence([F(2), F(1)], exponent)

@@ -79,6 +79,20 @@ class TestChainEnumeration:
         with pytest.raises(TypeError, match="n must be an integer, not bool"):
             list(descending_chains(True))
 
+    @pytest.mark.parametrize(
+        "n, error, message",
+        [
+            (True, TypeError, "n must be an integer, not bool"),
+            (2.0, TypeError, "n must be an integer, got float 2.0"),
+            (-1, ValueError, "n must be non-negative, got -1"),
+            (None, TypeError, "n must be an integer, got NoneType None"),
+            ("3", TypeError, "n must be an integer, got str '3'"),
+        ],
+    )
+    def test_chain_head_is_checked_without_iterating(self, n, error, message):
+        with pytest.raises(error, match=message):
+            descending_chains(n)
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             ChainIndex((2, 2))

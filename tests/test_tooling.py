@@ -35,6 +35,8 @@ import pytest
 import hgcauchy
 from hgcauchy import cli
 from hgcauchy.cauchy import METHODS
+from hgcauchy.higher import chor_via_convolution, chor_via_recurrence
+from oracles import profiled_functions
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 PACKAGE = Path(hgcauchy.__file__).parent
@@ -207,11 +209,15 @@ def test_every_route_of_the_table_is_traced():
         assert traced[method] in steps["higher"], method
 
 
-@pytest.mark.parametrize("method", ("convolution", "recurrence"))
+@pytest.mark.parametrize(
+    "method", ("recurrence", "determinant", "explicit", "trudi", "convolution")
+)
 def test_order_r_products_run_through_traced_mul(method):
     # series.power and series.mul are published per-layer metrics of the
-    # order-r workloads; a power that stopped calling __mul__ would leave
-    # series.mul.calls at 0 there
+    # order-r workloads; every route that builds the bands D_r reaches them
+    # through weight_D, and a power that stopped calling __mul__ would leave
+    # series.mul.calls at 0 there. convolution powers by Miller's recurrence
+    # and moves neither counter
     before, after = _run_traced(
         "from hgcauchy import cli\n"
         "keys = ('series.power.calls', 'series.mul.calls')\n"
@@ -222,8 +228,43 @@ def test_order_r_products_run_through_traced_mul(method):
         "    assert cli.main(argv) == 0\n"
         "print(json.dumps([before, [t.stats[k] for k in keys]]))\n"
     )
-    assert after[0] > before[0]
-    assert after[1] > before[1]
+    moved = [a > b for a, b in zip(after, before)]
+    assert moved == [method != "convolution"] * 2
+
+
+# the functions chor_via_convolution shares with chor_via_recurrence: the
+# first-order solve, the integer steps of the kernels and the plumbing of
+# the records. A change that makes the two share more fails here, and one
+# that makes them share less updates this set.
+CONVOLUTION_SHARES_WITH_RECURRENCE = {
+    "cauchy.CauchyTable.__init__",
+    "cauchy.CauchyTable.from_normalized",
+    "cauchy._check_parameters",
+    "cauchy._ratios",
+    "errors._Record._assign",
+    "errors._integer",
+    "errors._size",
+    "series.TruncatedSeries.__init__",
+    "series._fraction",
+    "series._horner",
+    "series._over_running_lcm",
+    "series._scaled",
+    "series.toeplitz_solve",
+}
+
+
+def test_convolution_shares_no_power_with_the_recurrence():
+    convolution = profiled_functions(lambda: chor_via_convolution(3, 2, 8))
+    recurrence = profiled_functions(lambda: chor_via_recurrence(3, 2, 8))
+    shared = convolution & recurrence
+    assert shared == CONVOLUTION_SHARES_WITH_RECURRENCE
+    power = {
+        "series.TruncatedSeries.power",
+        "series.TruncatedSeries.__mul__",
+        "series._convolve",
+    }
+    assert power <= recurrence
+    assert not power & shared
 
 
 def _module_names(tree):
