@@ -17,16 +17,15 @@ that the compositions of t need, so its width follows the compositions, not
 the lcm D of every weight's denominator; a weak prefix of k parts is an
 integer over D^k. The partition (Trudi) walk,
 :func:`~hgcauchy.hessenberg._trudi_walk`, and the product rule over series,
-``verify._product_rule_rhs``, live next to what they sum. No module calls :func:`strict_compositions`,
-:func:`weak_compositions` (one tuple at a time) or :func:`multinomial`:
-they are references for naive sums in tests.
+``verify._product_rule_rhs``, live next to what they sum. No module calls
+:func:`strict_compositions` or :func:`weak_compositions`: they are test references.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 from .errors import _size
 from .series import _fraction, _scaled
@@ -37,7 +36,6 @@ __all__ = [
     "strict_compositions",
     "weak_composition_sum",
     "weak_compositions",
-    "multinomial",
 ]
 
 # 2**(n-1) tuples for strict compositions of n; the determinant, recurrence and
@@ -218,13 +216,3 @@ def weak_composition_sum(w: Sequence[Fraction], total: int, parts: int) -> list[
     elif parts:
         extend(0, total, 1)
     return [Fraction(acc[k], den**k) for k in range(parts + 1)]
-
-
-def multinomial(parts: Sequence[int]) -> int:
-    """(t_1 + ... + t_m)! / (t_1! ... t_m!); each part meets the
-    :func:`~hgcauchy.errors._size` rule."""
-    parts = [_size(t, f"multinomial part t_{k}") for k, t in enumerate(parts, 1)]
-    out = factorial(sum(parts))
-    for t in parts:
-        out //= factorial(t)
-    return out

@@ -27,7 +27,7 @@ and ``higher`` agreement records check against the composition and Trudi walks.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from .errors import _Record, _size, _within_cap
@@ -43,7 +43,6 @@ __all__ = [
     "trudi_sequence",
     "trudi_sum",
     "unit_lower_toeplitz_inverse",
-    "determinant_inversion_roundtrip",
 ]
 
 # p(24) = 1575 multisets; past this the Trudi path refuses unless uncapped.
@@ -66,21 +65,12 @@ class HessenbergSpec(_Record):
     def n(self) -> int:
         return len(self.band)
 
-    def matrix(self) -> list[list[Fraction]]:
-        """The explicit dense matrix; intended for small-n cross-checks."""
-        zero = Fraction(0)
-        m = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                if j == i + 1:
-                    row.append(self.super_entry)
-                elif j <= i:
-                    row.append(self.band[i - j])
-                else:
-                    row.append(zero)
-            m.append(row)
-        return m
+
+def _spec(spec) -> HessenbergSpec:
+    """``spec`` itself; anything but a HessenbergSpec raises TypeError."""
+    if isinstance(spec, HessenbergSpec):
+        return spec
+    raise TypeError(f"spec must be a HessenbergSpec, got {type(spec).__name__} {spec!r}")
 
 
 def determinant_sequence(
@@ -103,7 +93,7 @@ def determinant_sequence(
 
 def hessenberg_det(spec: HessenbergSpec) -> Fraction:
     """Determinant of the full n x n spec (d_0 = 1 for n = 0)."""
-    return determinant_sequence(spec.super_entry, spec.band)[-1]
+    return determinant_sequence(_spec(spec).super_entry, spec.band)[-1]
 
 
 _partition_memo: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -188,7 +178,7 @@ def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction
 
     the :func:`_trudi_walk` accumulators times (-a_0)^(n - s), one Fraction;
     exponential in n, hence the cap, checked before any work."""
-    n = spec.n
+    n = _spec(spec).n
     _within_cap("partition multiset enumeration", n, cap)
     acc, den = _trudi_walk(spec.band)
     p, q = (-spec.super_entry).as_integer_ratio()
@@ -204,11 +194,10 @@ def trudi_sequence(
     :func:`trudi_sum` walk per leading spec over ``band``. The counterpart of
     :func:`determinant_sequence`; the cap is checked before any walk.
     """
-    n = len(band)
-    _within_cap("partition multiset enumeration", n, cap)
-    return [
-        trudi_sum(HessenbergSpec(super_entry, band[:m]), cap) for m in range(n + 1)
-    ]
+    band = tuple(map(_fraction, band))
+    _within_cap("partition multiset enumeration", len(band), cap)
+    specs = (HessenbergSpec(super_entry, band[:m]) for m in range(len(band) + 1))
+    return [trudi_sum(spec, cap) for spec in specs]
 
 
 def unit_lower_toeplitz_inverse(alpha: Sequence[Fraction]) -> list[Fraction]:
@@ -240,26 +229,3 @@ def _signed_bands_record(
     """The record of gamma_k == (-1)^k R(k) for k = 1 .. len(rule)."""
     signed = ((-1) ** k * v for k, v in enumerate(rule, 1))
     return check(identity, point, zip(range(1, len(rule) + 1), signed, chain[2]))
-
-
-def determinant_inversion_roundtrip(
-    rule: Callable[[int], Fraction] | Sequence[Fraction],
-    n_max: int,
-    identity: str = "determinant-inversion-roundtrip",
-    point: tuple[int, int, int] | None = None,
-) -> VerificationReport:
-    """Feed R(1..n) through the determinant and back.
-
-    With alpha_n = det of the unit-superdiagonal spec over bands R(1..n), the
-    determinant over bands alpha_1..alpha_n must return R(n). Checks every
-    n <= n_max and reports the first failure with both exact values.
-    """
-    n_max = _size(n_max, "n_max")
-    if callable(rule):
-        values = [_fraction(rule(k)) for k in range(1, n_max + 1)]
-    else:
-        values = list(map(_fraction, rule[:n_max]))
-        if len(values) < n_max:
-            raise ValueError(f"rule supplies {len(values)} terms, need {n_max}")
-    point = point or (0, 0, n_max)
-    return _recovery_record(identity, point, values, _inversion_chain(values))

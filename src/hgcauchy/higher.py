@@ -58,7 +58,6 @@ __all__ = [
     "weight_D",
     "weight_D_by_enumeration",
     "weight_reference_form",
-    "weight_reference_mismatches",
     "chor_closed_form",
     "chor_via_recurrence",
     "chor_via_determinant",
@@ -86,9 +85,6 @@ class WeightTable(_Record):
             raise ValueError("D_r(1) must be r*N/(N+1)")
         self._assign(N, r, e_max, values)
 
-    def weight(self, e: int) -> Fraction:
-        return self.values[e]
-
 
 def weight_D(N: int, r: int, e_max: int) -> WeightTable:
     """Weights via the r-fold self-convolution of the ratio sequence N/(N+j)."""
@@ -110,15 +106,13 @@ def weight_D_by_enumeration(N: int, r: int, e_max: int) -> list[Fraction]:
     return [N**r * weak_composition_sum(w, e, r)[r] for e in range(e_max + 1)]
 
 
-def weight_reference_form(
-    N: int, r: int, e: int, corrected: bool = False
-) -> Fraction:
+def weight_reference_form(N: int, r: int, e: int) -> Fraction:
     """Small-e closed forms for D_r(e) grouped by nonzero part multiset,
     transcribed verbatim from the tabulation this package cross-checks.
 
     The e = 4 form as printed carries a slip in its pair-of-twos term,
-    N^2/(N+1)^2 where the definition requires N^2/(N+2)^2; pass
-    ``corrected=True`` for the repaired variant. All other forms are exact.
+    N^2/(N+1)^2 where the definition requires N^2/(N+2)^2; the tests check
+    the repaired form against :func:`weight_D`. All other forms are exact.
     """
     _check_parameters(N, 1, r)
     _integer(e, "e")
@@ -134,27 +128,14 @@ def weight_reference_form(
             + comb(r, 3) * Fraction(N**3, n1**3)
         )
     if e == 4:
-        pair_of_twos_den = n2**2 if corrected else n1**2
         return (
             Fraction(r * N, n4)
             + Fraction(r * (r - 1) * N**2, n1 * n3)
-            + comb(r, 2) * Fraction(N**2, pair_of_twos_den)
+            + comb(r, 2) * Fraction(N**2, n1**2)
             + r * comb(r - 1, 2) * Fraction(N**3, n1**2 * n2)
             + comb(r, 4) * Fraction(N**4, n1**4)
         )
     raise ValueError(f"no reference form for e = {e} (have e = 1 .. 4)")
-
-
-def weight_reference_mismatches(N: int, r: int, e_max: int = 4) -> list[int]:
-    """Indices e <= min(e_max, 4) where the verbatim reference form disagrees
-    with the definition. Expected: [] for r = 1, [4] for r >= 2."""
-    top = min(e_max, 4)
-    definition = weight_D(N, r, top)
-    return [
-        e
-        for e in range(1, top + 1)
-        if weight_reference_form(N, r, e) != definition.weight(e)
-    ]
 
 
 def chor_closed_form(N: int, r: int, n: int) -> Fraction:

@@ -82,13 +82,6 @@ class TruncatedSeries(_Record):
             raise IndexError(f"coefficient {k} of a series of order {self.order}")
         return self.coefficients[k]
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if _integer(order, "order") > self.order:
-            raise OrderExceeded(
-                f"cannot extend a series of order {self.order} to order {order}"
-            )
-        return TruncatedSeries(self.coefficients[: order + 1])
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -17,7 +17,7 @@ from math import factorial, lcm
 from types import CodeType
 
 import hgcauchy
-from hgcauchy.combinat import multinomial, strict_compositions, weak_compositions
+from hgcauchy.combinat import strict_compositions, weak_compositions
 from hgcauchy.hessenberg import HessenbergSpec, enumerate_partition_multiplicities
 from hgcauchy.series import TruncatedSeries
 
@@ -38,6 +38,27 @@ def dense_determinant(matrix: list[list[Fraction]]) -> Fraction:
         sign = -1 if col % 2 else 1
         total += sign * entry * dense_determinant(minor)
     return total
+
+
+def dense_matrix(spec: HessenbergSpec) -> list[list[Fraction]]:
+    """The explicit n x n matrix of ``spec``: band[i - j] on and below the
+    diagonal, the super entry just above it, zeros further right."""
+    zero = Fraction(0)
+    return [
+        [
+            spec.band[i - j] if j <= i else spec.super_entry if j == i + 1 else zero
+            for j in range(spec.n)
+        ]
+        for i in range(spec.n)
+    ]
+
+
+def multinomial(parts: list[int]) -> int:
+    """(t_1 + ... + t_m)! / (t_1! ... t_m!)."""
+    out = factorial(sum(parts))
+    for t in parts:
+        out //= factorial(t)
+    return out
 
 
 def naive_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -238,6 +259,16 @@ def denominator_bound(N: int, n: int) -> int:
     for k in range(1, n + 1):
         bound *= (N + k) ** (n // k)
     return bound
+
+
+def denominator_bound_misses(N: int, values) -> list[int]:
+    """The n at which the denominator of values[n] / n! (values the table
+    c(N, n) of any order) does not divide :func:`denominator_bound`."""
+    return [
+        n
+        for n, v in enumerate(values)
+        if denominator_bound(N, n) % (v / factorial(n)).denominator
+    ]
 
 
 def profiled_arguments(outer, name: str, call):

@@ -30,7 +30,7 @@ from hgcauchy.hessenberg import (
 from hgcauchy.higher import chor_via_explicit, chor_via_trudi
 from hgcauchy.relations import chain_sum
 from hgcauchy.series import TruncatedSeries, log1p_series
-from oracles import naive_trudi_printed_variant
+from oracles import denominator_bound_misses, naive_trudi_printed_variant
 
 ALL_METHODS = (
     c_via_series,
@@ -138,7 +138,9 @@ class TestMethodAgreement:
 
     def test_composition_walk_equals_the_solve_at_a_huge_N(self):
         N = 10**30
-        assert c_via_compositions(N, 14).values == c_via_series(N, 14).values
+        table = c_via_compositions(N, 14)
+        assert table.values == c_via_series(N, 14).values
+        assert denominator_bound_misses(N, table.values) == []
 
     def test_method_labels(self):
         assert c_via_series(1, 2).method == "series"

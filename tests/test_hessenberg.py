@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,6 @@ from hgcauchy.hessenberg import (
     PARTITION_CAP,
     _trudi_walk,
     determinant_sequence,
-    determinant_inversion_roundtrip,
     enumerate_partition_multiplicities,
     hessenberg_det,
     trudi_sequence,
@@ -18,6 +18,7 @@ from hgcauchy.hessenberg import (
 )
 from oracles import (
     dense_determinant,
+    dense_matrix,
     naive_trudi_sum,
     partition_count,
     profiled_arguments,
@@ -51,7 +52,7 @@ class TestDeterminant:
         for _ in range(40):
             n = rng.randint(1, 7)
             spec = random_spec(rng, n)
-            assert hessenberg_det(spec) == dense_determinant(spec.matrix())
+            assert hessenberg_det(spec) == dense_determinant(dense_matrix(spec))
 
     def test_sequence_prefix_property(self):
         rng = random.Random(SEED + 1)
@@ -127,6 +128,11 @@ class TestTrudi:
         assert len(calls) > 1
         assert all(c["rest"] >= 2 * c["first"] for c in calls[1:])
 
+    def test_sequence_takes_a_one_pass_band(self):
+        # like determinant_sequence, it reads a band that can be iterated once
+        band = [F(1, 2), F(-1, 3), F(0), F(5, 4)]
+        assert trudi_sequence(F(1), iter(band)) == determinant_sequence(F(1), iter(band))
+
     def test_empty_band(self):
         for super_entry in (F(0), F(1), F(-3, 2), F(7)):
             assert trudi_sequence(super_entry, []) == [1]
@@ -192,13 +198,6 @@ class TestInverse:
                 conv = sum(full_a[j] * full_g[k - j] for j in range(k + 1))
                 assert conv == 0
 
-    def test_roundtrip_rejects_negative_and_float_sizes(self):
-        rule = [F(1, 2), F(1, 3)]
-        with pytest.raises(ValueError, match="n_max must be non-negative, got -1"):
-            determinant_inversion_roundtrip(rule, -1)
-        with pytest.raises(TypeError, match="n_max must be an integer, got float"):
-            determinant_inversion_roundtrip(rule, 2.0)
-
     def test_signed_rule_bands(self):
         # alpha_n = det over bands R(k) makes the inverse bands (-1)^k R(k)
         for N in (1, 2, 5):
@@ -216,18 +215,9 @@ class TestInverse:
         assert gamma[0] != rule[0]
 
 
-class TestRoundTrip:
-    def test_callable_rule(self):
-        report = determinant_inversion_roundtrip(lambda k: F(1, k + 1), 6)
-        assert report.status == "pass"
-
-    def test_sequence_rule(self):
-        report = determinant_inversion_roundtrip([F(3, 4), F(3, 5), F(3, 6)], 3)
-        assert report.status == "pass"
-
-    def test_custom_identity_and_point(self):
-        report = determinant_inversion_roundtrip(
-            lambda k: F(2, 2 + k), 4, identity="roundtrip-label", point=(2, 1, 4)
-        )
-        assert report.identity == "roundtrip-label"
-        assert report.parameter_point == (2, 1, 4)
+@pytest.mark.parametrize("call", [hessenberg_det, trudi_sum])
+@pytest.mark.parametrize("spec", ["x", [1, 2]], ids=["str", "list"])
+def test_determinants_take_only_a_spec(call, spec):
+    text = f"spec must be a HessenbergSpec, got {type(spec).__name__} {spec!r}"
+    with pytest.raises(TypeError, match=re.escape(text)):
+        call(spec)

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -20,9 +20,14 @@ from hgcauchy.higher import (
     weight_D,
     weight_D_by_enumeration,
     weight_reference_form,
-    weight_reference_mismatches,
 )
-from oracles import brute_weight, denominator_bound, naive_product, naive_reciprocal
+from oracles import (
+    brute_weight,
+    denominator_bound,
+    denominator_bound_misses,
+    naive_product,
+    naive_reciprocal,
+)
 
 HIGHER_METHODS = (
     chor_via_recurrence,
@@ -41,12 +46,12 @@ class TestWeights:
     def test_first_weight_rule(self):
         for N in range(1, 5):
             for r in range(1, 5):
-                assert weight_D(N, r, 1).weight(1) == F(r * N, N + 1)
+                assert weight_D(N, r, 1).values[1] == F(r * N, N + 1)
 
     def test_order_one_is_plain_ratio(self):
         table = weight_D(3, 1, 8)
         for e in range(9):
-            assert table.weight(e) == F(3, 3 + e)
+            assert table.values[e] == F(3, 3 + e)
 
     def test_convolution_matches_enumeration(self):
         for N in range(1, 4):
@@ -58,7 +63,7 @@ class TestWeights:
     def test_matches_independent_oracle(self):
         for r in range(1, 4):
             for e in range(6):
-                assert weight_D(2, r, 6).weight(e) == brute_weight(2, r, e)
+                assert weight_D(2, r, 6).values[e] == brute_weight(2, r, e)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -76,33 +81,47 @@ class TestWeights:
                 method(2, 2.0, 3)
 
 
+def corrected_fourth_display(N, r):
+    """The e = 4 weight display with its pair-of-twos term repaired:
+    N^2/(N+2)^2 where the display prints N^2/(N+1)^2."""
+    n1, n2, n3, n4 = N + 1, N + 2, N + 3, N + 4
+    return (
+        F(r * N, n4)
+        + F(r * (r - 1) * N**2, n1 * n3)
+        + comb(r, 2) * F(N**2, n2**2)
+        + r * comb(r - 1, 2) * F(N**3, n1**2 * n2)
+        + comb(r, 4) * F(N**4, n1**4)
+    )
+
+
 class TestWeightDisplays:
     def test_low_weights_match(self):
         for N in range(1, 5):
             for r in range(1, 5):
                 table = weight_D(N, r, 3)
                 for e in (1, 2, 3):
-                    assert weight_reference_form(N, r, e) == table.weight(e)
+                    assert weight_reference_form(N, r, e) == table.values[e]
 
     def test_fourth_display_slips_for_r_at_least_two(self):
         # the printed pair-of-twos denominator reads (N+1)^2; the correct
         # factor is (N+2)^2, visible from r = 2 on
-        assert weight_reference_mismatches(1, 1) == []
         for N in range(1, 4):
-            for r in range(2, 5):
-                assert weight_reference_mismatches(N, r) == [4]
+            for r in range(1, 5):
+                table = weight_D(N, r, 4).values
+                mismatches = [
+                    e for e in range(1, 5) if weight_reference_form(N, r, e) != table[e]
+                ]
+                assert mismatches == ([4] if r >= 2 else []), (N, r)
 
     def test_fourth_display_values_at_base_point(self):
         assert weight_reference_form(1, 2, 4) == F(9, 10)
-        assert weight_reference_form(1, 2, 4, corrected=True) == F(137, 180)
-        assert weight_D(1, 2, 4).weight(4) == F(137, 180)
+        assert corrected_fourth_display(1, 2) == F(137, 180)
+        assert weight_D(1, 2, 4).values[4] == F(137, 180)
 
     def test_corrected_display_matches_everywhere(self):
         for N in range(1, 4):
             for r in range(1, 5):
-                assert weight_reference_form(N, r, 4, corrected=True) == weight_D(
-                    N, r, 4
-                ).weight(4)
+                assert corrected_fourth_display(N, r) == weight_D(N, r, 4).values[4]
 
     def test_index_must_be_an_integer(self):
         with pytest.raises(TypeError, match="e must be an integer, not bool"):
@@ -113,7 +132,7 @@ class TestWeightDisplays:
             chor_closed_form(1, 2, True)
 
     def test_third_display_spot_value(self):
-        assert weight_D(2, 3, 3).weight(3) == F(472, 135)
+        assert weight_D(2, 3, 3).values[3] == F(472, 135)
 
 
 class TestMethodAgreement:
@@ -126,7 +145,9 @@ class TestMethodAgreement:
 
     def test_explicit_equals_the_recurrence_at_a_huge_N(self):
         N = 10**12
-        assert chor_via_explicit(N, 3, 12).values == chor_via_recurrence(N, 3, 12).values
+        table = chor_via_explicit(N, 3, 12)
+        assert table.values == chor_via_recurrence(N, 3, 12).values
+        assert denominator_bound_misses(N, table.values) == []
 
     def test_order_one_reduces_to_first_order(self):
         reference = c_via_series(2, 10)

@@ -39,10 +39,6 @@ class TestConstruction:
         with pytest.raises(IndexError):
             series(1, 2).coefficient(5)
 
-    def test_truncate_cannot_extend(self):
-        with pytest.raises(OrderExceeded):
-            series(1, 2).truncate(4)
-
     def test_one(self):
         assert TruncatedSeries.one(2).coefficients == (F(1), F(0), F(0))
 
@@ -53,7 +49,6 @@ class TestConstruction:
             (lambda s: s.power(2.0), "exponent must be an integer, got float 2.0"),
             (lambda s: s.ht_derivative(True), "n must be an integer, not bool"),
             (lambda s: s.coefficient(True), "k must be an integer, not bool"),
-            (lambda s: s.truncate(1.0), "order must be an integer, got float 1.0"),
             (lambda s: log1p_series(2.5), "order must be an integer, got float"),
             (lambda s: log1p_series(True), "order must be an integer, not bool"),
             (
@@ -66,7 +61,6 @@ class TestConstruction:
             "power-float",
             "ht_derivative",
             "coefficient",
-            "truncate",
             "log1p_series-float",
             "log1p_series-bool",
             "from_coefficients",

@@ -6,7 +6,10 @@ The benchmark replays CLI argv lines against the stdout digests in
 both break silently if the package drifts, so both are checked here in
 tier 1: the ``verify`` and ``invert`` lines and every ``compute`` line, each
 once, the five slowest (``compositions`` at n = 20) in a test of their own.
-``golden.json`` is only read, never re-recorded. The source guards read
+Each replayed ``compute`` table must also meet the denominator bound Q_n(N).
+``golden.json`` is only read, never re-recorded; it holds the text form of
+the ``verify`` lines, so the JSON form of ``verify --suite all`` is pinned
+by a digest here. The source guards read
 ``src/hgcauchy`` with ``ast``: no module imports a name it does not use, the
 package's star re-exports never bind one name twice, each input rule is
 stated in one place (caps and sizes in ``errors``, flag bounds where ``cli``
@@ -15,7 +18,8 @@ built only in ``report``, the inverse bands are solved only in the
 ``hessenberg`` inversion chain, no module calls the one-tuple-at-a-time
 reference enumerators, and no module imports ``dataclasses`` or ``typing``,
 so a CLI process loads neither (nor ``inspect``, which ``dataclasses`` pulls
-in).
+in). Every public name has a reader outside the tests, and a ledger pins
+which functions each pair of compared computations shares.
 """
 
 import ast
@@ -28,15 +32,22 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
 import hgcauchy
 from hgcauchy import cli
-from hgcauchy.cauchy import METHODS
-from hgcauchy.higher import chor_via_convolution, chor_via_recurrence
-from oracles import profiled_functions
+from hgcauchy.cauchy import METHODS, c_via_compositions, c_via_series, c_via_trudi
+from hgcauchy.higher import (
+    chor_via_convolution,
+    chor_via_explicit,
+    chor_via_recurrence,
+    chor_via_trudi,
+)
+from oracles import denominator_bound_misses, profiled_functions
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 PACKAGE = Path(hgcauchy.__file__).parent
@@ -60,17 +71,40 @@ def test_golden_file_holds_the_verify_lines():
     assert len(VERIFY_LINES) == 4
 
 
-def _stdout_digest(line):
+def _stdout(line):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(line.split())
     assert code == 0
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return out.getvalue()
+
+
+def _digest(stdout):
+    return hashlib.sha256(stdout.encode()).hexdigest()
+
+
+def _stdout_digest(line):
+    return _digest(_stdout(line))
+
+
+def _bound_misses(stdout):
+    """The n of a ``compute`` JSON table whose c_n/n! has a denominator
+    that does not divide Q_n(N)."""
+    payload = json.loads(stdout)
+    return denominator_bound_misses(payload["N"], map(Fraction, payload["values"]))
 
 
 @pytest.mark.parametrize("line", VERIFY_LINES)
 def test_verify_stdout_matches_golden_digest(line):
     assert _stdout_digest(line) == GOLDEN[line]
+
+
+# golden.json holds the text form of the verify lines only
+VERIFY_ALL_JSON_DIGEST = "49061252f1d66d744646ffd258a1b109a6ae956aa24945cc77276333881ea186"
+
+
+def test_verify_all_json_stdout_matches_its_digest():
+    assert _stdout_digest("verify --suite all --format json") == VERIFY_ALL_JSON_DIGEST
 
 
 def test_golden_file_holds_the_invert_lines():
@@ -105,7 +139,9 @@ def test_golden_file_holds_every_method_in_the_compute_lines():
 def test_compute_stdout_matches_golden_digest(method):
     lines = [line for line in COMPUTE_LINES if line.endswith(f"--method {method}")]
     assert lines
-    assert [line for line in lines if _stdout_digest(line) != GOLDEN[line]] == []
+    stdout = {line: _stdout(line) for line in lines}
+    assert [line for line in lines if _digest(stdout[line]) != GOLDEN[line]] == []
+    assert [line for line in lines if _bound_misses(stdout[line])] == []
 
 
 def test_golden_file_holds_the_slowest_compute_lines():
@@ -114,7 +150,9 @@ def test_golden_file_holds_the_slowest_compute_lines():
 
 @pytest.mark.parametrize("line", SLOWEST_LINES)
 def test_slowest_compute_stdout_matches_golden_digest(line):
-    assert _stdout_digest(line) == GOLDEN[line]
+    stdout = _stdout(line)
+    assert _digest(stdout) == GOLDEN[line]
+    assert _bound_misses(stdout) == []
 
 
 def _load_tracer():
@@ -265,6 +303,63 @@ def test_convolution_shares_no_power_with_the_recurrence():
     }
     assert power <= recurrence
     assert not power & shared
+
+
+# the functions each other pair of compared computations shares at
+# (3, r, 8). At r = 1 the solve and the two walks that core compares share
+# the ratios N/(N+k), the exact-value rule and the record plumbing, and the
+# Trudi walk also the integer scaling of its band. At r = 2 the walks read
+# the bands D_r(k), so they share with the recurrence the square-and-multiply
+# power that builds them, and its kernels.
+SERIES_SHARES_WITH_COMPOSITIONS = {
+    "cauchy.CauchyTable.__init__",
+    "cauchy.CauchyTable.from_normalized",
+    "cauchy._check_parameters",
+    "cauchy._ratios",
+    "errors._Record._assign",
+    "errors._integer",
+    "errors._size",
+    "series._fraction",
+}
+SERIES_SHARES_WITH_TRUDI = SERIES_SHARES_WITH_COMPOSITIONS | {"series._scaled"}
+RECURRENCE_SHARES_WITH_EXPLICIT = SERIES_SHARES_WITH_TRUDI | {
+    "higher.WeightTable.__init__",
+    "higher._weights",
+    "higher.weight_D",
+    "series.TruncatedSeries.__init__",
+    "series.TruncatedSeries.__mul__",
+    "series.TruncatedSeries.power",
+    "series._convolve",
+    "series._horner",
+    "series._over_running_lcm",
+}
+RECURRENCE_SHARES_WITH_TRUDI = RECURRENCE_SHARES_WITH_EXPLICIT
+
+
+@pytest.mark.parametrize(
+    "first, second, shared",
+    [
+        (
+            lambda: c_via_series(3, 8),
+            lambda: c_via_compositions(3, 8),
+            SERIES_SHARES_WITH_COMPOSITIONS,
+        ),
+        (lambda: c_via_series(3, 8), lambda: c_via_trudi(3, 8), SERIES_SHARES_WITH_TRUDI),
+        (
+            lambda: chor_via_recurrence(3, 2, 8),
+            lambda: chor_via_explicit(3, 2, 8),
+            RECURRENCE_SHARES_WITH_EXPLICIT,
+        ),
+        (
+            lambda: chor_via_recurrence(3, 2, 8),
+            lambda: chor_via_trudi(3, 2, 8),
+            RECURRENCE_SHARES_WITH_TRUDI,
+        ),
+    ],
+    ids=["series-compositions", "series-trudi", "recurrence-explicit", "recurrence-trudi"],
+)
+def test_sharing_ledger(first, second, shared):
+    assert profiled_functions(first) & profiled_functions(second) == shared
 
 
 def _module_names(tree):
@@ -462,17 +557,16 @@ KEPT_EXPORTS = """
     chor_via_convolution chor_via_determinant chor_via_explicit
     chor_via_recurrence chor_via_trudi classical_bernoulli_det
     classical_euler_det composition_sum cross_order_step descending_chains
-    determinant_inversion_roundtrip determinant_sequence
-    enumerate_partition_multiplicities hessenberg_det hgc_generating_series
-    log1p_series multinomial ratio_inversion run_suites strict_compositions
-    trudi_sequence trudi_sum unit_lower_toeplitz_inverse weak_composition_sum
-    weak_compositions weight_D weight_D_by_enumeration weight_reference_form
-    weight_reference_mismatches
+    determinant_sequence enumerate_partition_multiplicities hessenberg_det
+    hgc_generating_series log1p_series ratio_inversion run_suites
+    strict_compositions trudi_sequence trudi_sum unit_lower_toeplitz_inverse
+    weak_composition_sum weak_compositions weight_D weight_D_by_enumeration
+    weight_reference_form
 """.split()
 
 
 def test_package_exports():
-    assert len(KEPT_EXPORTS) == 56
+    assert len(KEPT_EXPORTS) == 53
     assert len(hgcauchy.__all__) == len(set(hgcauchy.__all__))
     added = {"ROUTES", "c_trudi_printed_variant"}
     assert set(hgcauchy.__all__) == set(KEPT_EXPORTS) | added
@@ -490,3 +584,48 @@ def test_each_export_is_its_module_object():
     for name, module_name in owners.items():
         module = importlib.import_module(f"hgcauchy.{module_name}")
         assert getattr(hgcauchy, name) is getattr(module, name), name
+
+
+def _names_read(tree):
+    """The names a tree reads, as a ``Name`` or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _public_surface():
+    """Each exported name, and each public method or property of an
+    exported class as ``Class.name``."""
+    surface = list(hgcauchy.__all__)
+    for name in hgcauchy.__all__:
+        owner = getattr(hgcauchy, name)
+        if isinstance(owner, type):
+            surface += [
+                f"{name}.{attr}"
+                for attr, value in vars(owner).items()
+                if not attr.startswith("_")
+                and isinstance(value, (FunctionType, classmethod, staticmethod, property))
+            ]
+    return surface
+
+
+def test_every_public_name_is_used():
+    # a public name earns its place by a reader: package code outside
+    # __init__.py, the acceptance criteria, or a bench/tracer.py target;
+    # what only the other tests call belongs in tests/oracles.py
+    trees = _package_trees()
+    del trees["__init__.py"]
+    used = set().union(*map(_names_read, trees.values()))
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    used |= _names_read(acceptance)
+    used |= {
+        alias.name
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used |= {qualname.rpartition(".")[2] for _, qualname, _, _ in _load_tracer().TARGETS}
+    unused = [name for name in _public_surface() if name.rpartition(".")[2] not in used]
+    assert unused == []

@@ -19,7 +19,6 @@ import pytest
 from hgcauchy.cauchy import CauchyTable
 from hgcauchy.hessenberg import (
     HessenbergSpec,
-    determinant_inversion_roundtrip,
     determinant_sequence,
     unit_lower_toeplitz_inverse,
 )
@@ -214,16 +213,6 @@ INEXACT = [
     pytest.param(lambda: cameron_inverse([0.5]), "float 0.5", id="inverse"),
     pytest.param(
         lambda: unit_lower_toeplitz_inverse([0.5]), "float 0.5", id="toeplitz-inverse"
-    ),
-    pytest.param(
-        lambda: determinant_inversion_roundtrip([0.5, 0.25], 2),
-        "float 0.5",
-        id="roundtrip-sequence",
-    ),
-    pytest.param(
-        lambda: determinant_inversion_roundtrip(lambda k: 1 / (k + 1), 2),
-        "float 0.5",
-        id="roundtrip-callable",
     ),
 ]
 
