@@ -17,8 +17,8 @@ Five first-order routes to the same table are implemented:
 ``trudi``         partition-multiset expansion of the same determinant
 
 With the order-r routes of :mod:`hgcauchy.higher` they make the seven
-:data:`METHODS`, and the route table :data:`hgcauchy.higher.ROUTES` holds how
-each runs, its cap and whether it takes r > 1. The seven run four
+``--method`` names of the route table :data:`hgcauchy.higher.ROUTES`, which
+holds how each runs, its cap and whether it takes r > 1. The seven run four
 computations, each written once below over bands d_0 .. d_n (N/(N+k) here,
 D_r(k) at order r) and scaled once by :meth:`CauchyTable.from_normalized`:
 the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`
@@ -55,7 +55,7 @@ from .hessenberg import (
     trudi_sequence,
 )
 from .report import VerificationReport
-from .series import TruncatedSeries, _fraction, toeplitz_solve
+from .series import TruncatedSeries, _fractions, toeplitz_solve
 
 __all__ = [
     "CauchyTable",
@@ -72,18 +72,6 @@ __all__ = [
     "c_trudi_printed_variant",
 ]
 
-# every route name a table may carry, in CLI order; hgcauchy.higher.ROUTES runs them
-METHODS = (
-    "series",
-    "recurrence",
-    "determinant",
-    "compositions",
-    "trudi",
-    "explicit",
-    "convolution",
-)
-
-
 def _check_parameters(N: int, n_max: int, r: int = 1) -> None:
     _integer(N, "N")
     _size(n_max, "n_max")
@@ -99,40 +87,36 @@ def _ratios(N: int, r: int, n_max: int) -> list[Fraction]:
     return [Fraction(N, N + k) for k in range(n_max + 1)]
 
 
+def _table_values(N: int, r: int, values: Iterable[Fraction | int]) -> tuple:
+    """``values`` as Fractions, by the rule of a table at (N, r) of c^(r)(N, n)
+    or of D_r(e): N and r are positive integers, the values are exact, the
+    first is 1 and the second, if any, is r N/(N+1)."""
+    _check_parameters(N, 0, r)
+    values = _fractions(values)
+    if not values or values[0] != 1:
+        raise ValueError("index 0 must be 1")
+    if len(values) > 1 and values[1] != Fraction(r * N, N + 1):
+        raise ValueError("index 1 must be r*N/(N+1)")
+    return values
+
+
 class CauchyTable(_Record):
-    """Exact values c(N, n) for n = 0 .. n_max at order r.
+    """Exact values c^(r)(N, n) for n = 0 .. n_max. A table holds no trace of
+    the route that built it, so tables of equal values are equal records."""
 
-    ``method`` records which route produced the table; the values themselves
-    are method-independent and the verification suites enforce that.
-    """
+    __slots__ = ("N", "r", "values")
 
-    __slots__ = ("N", "r", "n_max", "values", "method")
+    def __init__(self, N: int, r: int, values: Iterable[Fraction | int]):
+        self._assign(N, r, _table_values(N, r, values))
 
-    def __init__(
-        self,
-        N: int,
-        r: int,
-        n_max: int,
-        values: Iterable[Fraction | int],
-        method: str,
-    ):
-        _check_parameters(N, n_max, r)
-        values = tuple(map(_fraction, values))
-        if len(values) != n_max + 1:
-            raise ValueError("values must list n = 0 .. n_max")
-        if values[0] != 1:
-            raise ValueError("index 0 must be 1")
-        if n_max >= 1 and values[1] != Fraction(r * N, N + 1):
-            raise ValueError("index 1 must be r*N/(N+1)")
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
-        self._assign(N, r, n_max, values, method)
+    @property
+    def n_max(self) -> int:
+        return len(self.values) - 1
 
     @classmethod
-    def from_normalized(cls, N: int, r: int, normalized, method: str) -> "CauchyTable":
+    def from_normalized(cls, N: int, r: int, normalized) -> "CauchyTable":
         """The table n! b_n of normalized values b_0 .. b_n; every route scales here."""
-        values = tuple(factorial(n) * b for n, b in enumerate(normalized))
-        return cls(N, r, len(values) - 1, values, method)
+        return cls(N, r, (factorial(n) * b for n, b in enumerate(normalized)))
 
     def normalized(self) -> list[Fraction]:
         """b_n = c(N, n)/n! for n = 0 .. n_max."""
@@ -151,7 +135,7 @@ def c_via_series(N: int, n_max: int) -> CauchyTable:
     """Reference method: n! times the reciprocal coefficients of F_N."""
     _check_parameters(N, n_max)
     recip = hgc_generating_series(N, n_max).reciprocal()
-    return CauchyTable.from_normalized(N, 1, recip.coefficients, "series")
+    return CauchyTable.from_normalized(N, 1, recip.coefficients)
 
 
 # The four route computations, over bands(N, r, n_max) = [d_0 .. d_n_max].
@@ -164,7 +148,7 @@ def _recurrence_table(N: int, r: int, n_max: int, bands: Bands) -> CauchyTable:
     _check_parameters(N, n_max, r)
     d = bands(N, r, n_max)
     b = toeplitz_solve([(-1) ** l * v for l, v in enumerate(d)])
-    return CauchyTable.from_normalized(N, r, b, "recurrence")
+    return CauchyTable.from_normalized(N, r, b)
 
 
 def _determinant_table(N: int, r: int, n_max: int, bands: Bands) -> CauchyTable:
@@ -172,11 +156,11 @@ def _determinant_table(N: int, r: int, n_max: int, bands: Bands) -> CauchyTable:
     (:func:`~hgcauchy.hessenberg.determinant_sequence`, the same solve)."""
     _check_parameters(N, n_max, r)
     dets = determinant_sequence(1, bands(N, r, n_max)[1:])
-    return CauchyTable.from_normalized(N, r, dets, "determinant")
+    return CauchyTable.from_normalized(N, r, dets)
 
 
 def _composition_table(
-    N: int, r: int, n_max: int, bands: Bands, cap: int | None, method: str
+    N: int, r: int, n_max: int, bands: Bands, cap: int | None
 ) -> CauchyTable:
     """n! sum over strict compositions (e_1, .., e_k) of n of
     (-1)^(n-k) d_(e_1) .. d_(e_k), one walk over every n <= n_max
@@ -185,7 +169,7 @@ def _composition_table(
     _within_cap("strict composition enumeration", n_max, cap)
     d = bands(N, r, n_max)
     T = composition_sum([(-1) ** (e + 1) * v for e, v in enumerate(d)], n_max)
-    return CauchyTable.from_normalized(N, r, T, method)
+    return CauchyTable.from_normalized(N, r, T)
 
 
 def _trudi_table(
@@ -197,7 +181,7 @@ def _trudi_table(
     _check_parameters(N, n_max, r)
     _within_cap("partition multiset enumeration", n_max, cap)
     dets = trudi_sequence(Fraction(1), bands(N, r, n_max)[1:], cap)
-    return CauchyTable.from_normalized(N, r, dets, "trudi")
+    return CauchyTable.from_normalized(N, r, dets)
 
 
 def c_via_recurrence(N: int, n_max: int) -> CauchyTable:
@@ -222,7 +206,7 @@ def c_via_compositions(
         c(N, n) = (-1)^n n! sum over compositions (i_1, .., i_k) of n
                   of (-N)^k / prod (N + i_j).
     """
-    return _composition_table(N, 1, n_max, _ratios, cap, "compositions")
+    return _composition_table(N, 1, n_max, _ratios, cap)
 
 
 def c_via_trudi(

@@ -11,11 +11,12 @@ prebuilt list of exactly those children, then closes the three children that
 leave two, one and nothing in straight-line code, each of their completions
 still with one product and one add. The weak walk makes C(total + m, m),
 m = max(parts - 2, 0).
-Both walks take exact weights only (``series._fraction``). A strict prefix of
-total t is an integer over Q[t], the lcm of the part-denominator products
-that the compositions of t need, so its width follows the compositions, not
-the lcm D of every weight's denominator; a weak prefix of k parts is an
-integer over D^k. The partition (Trudi) walk,
+Both walks read their weights in one pass, so any iterable will do, and take
+exact weights only (``series._fractions``). A strict prefix of total t is an
+integer over Q[t], the lcm of the part-denominator products that the
+compositions of t need, so its width follows the compositions, not the lcm D
+of every weight's denominator; a weak prefix of k parts is an integer over
+D^k. The partition (Trudi) walk,
 :func:`~hgcauchy.hessenberg._trudi_walk`, and the product rule over series,
 ``verify._product_rule_rhs``, live next to what they sum. No module calls
 :func:`strict_compositions` or :func:`weak_compositions`: they are test references.
@@ -23,12 +24,12 @@ integer over D^k. The partition (Trudi) walk,
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import lcm
 
 from .errors import _size
-from .series import _fraction, _scaled
+from .series import _fractions, _scaled
 
 __all__ = [
     "STRICT_COMPOSITION_CAP",
@@ -70,10 +71,10 @@ def _composition_denominators(dens: Sequence[int], t_max: int) -> list[int]:
     return Q
 
 
-def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
+def composition_sum(w: Iterable[Fraction], t_max: int) -> list[Fraction]:
     """For t = 0 .. t_max, the sum over strict compositions (e_1, .., e_k)
-    of t of the products w[e_1] .. w[e_k]; ``w[0]`` is ignored and entry 0
-    is 1.
+    of t of the products w[e_1] .. w[e_k]; ``w`` is read once, up to
+    ``w[t_max]``, ``w[0]`` is ignored and entry 0 is 1.
 
     One depth-first walk visits every composition of every total <= t_max
     once (2^(t-1) of total t) and shares each prefix product with all its
@@ -97,12 +98,13 @@ def composition_sum(w: Sequence[Fraction], t_max: int) -> list[Fraction]:
     647 bits for the ratios N/(N + e) at N = 5, t = 20.
     """
     t_max = _size(t_max, "t_max")
+    w = _fractions(w, t_max + 1, start=1)
     if t_max and len(w) <= t_max:
         raise ValueError(
             f"w supplies {len(w)} terms, need {t_max + 1} to read w[1..{t_max}]"
         )
     top = max(t_max, 3)
-    w = [0] + [_fraction(v) for v in w[1 : t_max + 1]] + [0] * (top - t_max)
+    w = [0, *w[1:]] + [0] * (top - t_max)
     dens = [v.denominator for v in w]
     Q = _composition_denominators(dens, top)
     M = [
@@ -169,7 +171,7 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     return walk(_size(total, "total"), _size(parts, "parts"))
 
 
-def weak_composition_sum(w: Sequence[Fraction], total: int, parts: int) -> list[Fraction]:
+def weak_composition_sum(w: Iterable[Fraction], total: int, parts: int) -> list[Fraction]:
     """For k = 0 .. parts, the sum over weak compositions (i_1, .., i_k) of
     ``total`` of the products w[i_1] .. w[i_k]; entry 0 is 1 at total 0.
 
@@ -182,15 +184,16 @@ def weak_composition_sum(w: Sequence[Fraction], total: int, parts: int) -> list[
     makes C(total + m, m) calls, m = max(parts - 2, 0): one per prefix of at
     most m parts that leaves something over. The products are integers: with
     D the lcm of the denominators of w[0 .. total], a prefix of k parts is an
-    integer over D^k, and each k becomes one Fraction. With no parts no
-    weight is read.
+    integer over D^k, and each k becomes one Fraction. ``w`` is read once,
+    up to ``w[total]``; with no parts no weight is read.
     """
     total, parts = _size(total, "total"), _size(parts, "parts")
+    w = _fractions(w, total + 1) if parts else ()
     if parts and len(w) <= total:
         raise ValueError(
             f"w supplies {len(w)} terms, need {total + 1} to read w[0..{total}]"
         )
-    V, den = _scaled([_fraction(v) for v in w[: total + 1]] if parts else [])
+    V, den = _scaled(w)
     acc = [0] * (parts + 1)
 
     def close(k: int, product: int) -> None:

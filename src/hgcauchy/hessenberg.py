@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import _Record, _size, _within_cap
 from .report import VerificationReport, check
-from .series import _fraction, _scaled, toeplitz_solve
+from .series import _fraction, _fractions, _scaled, toeplitz_solve
 
 __all__ = [
     "PARTITION_CAP",
@@ -59,7 +59,7 @@ class HessenbergSpec(_Record):
     __slots__ = ("super_entry", "band")
 
     def __init__(self, super_entry: Fraction | int, band: Iterable[Fraction | int]):
-        self._assign(_fraction(super_entry), tuple(map(_fraction, band)))
+        self._assign(_fraction(super_entry), _fractions(band))
 
     @property
     def n(self) -> int:
@@ -74,7 +74,7 @@ def _spec(spec) -> HessenbergSpec:
 
 
 def determinant_sequence(
-    super_entry: Fraction, band: Sequence[Fraction]
+    super_entry: Fraction, band: Iterable[Fraction]
 ) -> list[Fraction]:
     """[d_0, d_1, .., d_n]: determinants of all leading specs over ``band``.
 
@@ -85,8 +85,8 @@ def determinant_sequence(
     neg_super = -_fraction(super_entry)
     sign_pow = Fraction(1)
     coefficients = [sign_pow]
-    for b in band:
-        coefficients.append(-sign_pow * _fraction(b))
+    for b in _fractions(band):
+        coefficients.append(-sign_pow * b)
         sign_pow *= neg_super
     return toeplitz_solve(coefficients)
 
@@ -188,25 +188,25 @@ def trudi_sum(spec: HessenbergSpec, cap: int | None = PARTITION_CAP) -> Fraction
 
 
 def trudi_sequence(
-    super_entry: Fraction, band: Sequence[Fraction], cap: int | None = PARTITION_CAP
+    super_entry: Fraction, band: Iterable[Fraction], cap: int | None = PARTITION_CAP
 ) -> list[Fraction]:
     """[d_0, d_1, .., d_n] by the partition-multiset expansion: one
     :func:`trudi_sum` walk per leading spec over ``band``. The counterpart of
     :func:`determinant_sequence`; the cap is checked before any walk.
     """
-    band = tuple(map(_fraction, band))
+    band = _fractions(band)
     _within_cap("partition multiset enumeration", len(band), cap)
     specs = (HessenbergSpec(super_entry, band[:m]) for m in range(len(band) + 1))
     return [trudi_sum(spec, cap) for spec in specs]
 
 
-def unit_lower_toeplitz_inverse(alpha: Sequence[Fraction]) -> list[Fraction]:
+def unit_lower_toeplitz_inverse(alpha: Iterable[Fraction]) -> list[Fraction]:
     """Bands gamma_1 .. gamma_n of the inverse of the unit lower-triangular
     Toeplitz matrix with subdiagonal bands alpha_1 .. alpha_n:
 
         gamma_0 = 1,   gamma_k = -sum_{j=1..k} alpha_j gamma_(k-j).
     """
-    return toeplitz_solve([Fraction(1)] + list(map(_fraction, alpha)))[1:]
+    return toeplitz_solve((Fraction(1),) + _fractions(alpha))[1:]
 
 
 def _inversion_chain(rule: Sequence[Fraction]) -> Chain:

@@ -36,6 +36,7 @@ from .cauchy import (
     _determinant_table,
     _ratios,
     _recurrence_table,
+    _table_values,
     _trudi_table,
     c_via_compositions,
     c_via_series,
@@ -51,7 +52,7 @@ from .hessenberg import (
     _signed_bands_record,
 )
 from .report import VerificationReport, passed
-from .series import TruncatedSeries, _fraction, _power_by_recurrence
+from .series import TruncatedSeries, _power_by_recurrence
 
 __all__ = [
     "WeightTable",
@@ -70,27 +71,19 @@ __all__ = [
 
 
 class WeightTable(_Record):
-    """Exact weights D_r(e) for e = 0 .. e_max at a fixed (N, r)."""
+    """Exact weights D_r(e) for e = 0 .. len(values) - 1 at a fixed (N, r)."""
 
-    __slots__ = ("N", "r", "e_max", "values")
+    __slots__ = ("N", "r", "values")
 
-    def __init__(self, N: int, r: int, e_max: int, values: Iterable[Fraction | int]):
-        _check_parameters(N, e_max, r)
-        values = tuple(map(_fraction, values))
-        if len(values) != e_max + 1:
-            raise ValueError("values must list e = 0 .. e_max")
-        if values[0] != 1:
-            raise ValueError("D_r(0) must be 1")
-        if e_max >= 1 and values[1] != Fraction(r * N, N + 1):
-            raise ValueError("D_r(1) must be r*N/(N+1)")
-        self._assign(N, r, e_max, values)
+    def __init__(self, N: int, r: int, values: Iterable[Fraction | int]):
+        self._assign(N, r, _table_values(N, r, values))
 
 
 def weight_D(N: int, r: int, e_max: int) -> WeightTable:
     """Weights via the r-fold self-convolution of the ratio sequence N/(N+j)."""
     _check_parameters(N, e_max, r)
     powered = TruncatedSeries(tuple(_ratios(N, 1, e_max))).power(r)
-    return WeightTable(N, r, e_max, powered.coefficients)
+    return WeightTable(N, r, powered.coefficients)
 
 
 def weight_D_by_enumeration(N: int, r: int, e_max: int) -> list[Fraction]:
@@ -195,7 +188,7 @@ def chor_via_explicit(
                       sum over compositions (e_1, .., e_k) of n
                       of D_r(e_1) .. D_r(e_k).
     """
-    return _composition_table(N, r, n_max, _weights, cap, "explicit")
+    return _composition_table(N, r, n_max, _weights, cap)
 
 
 def chor_via_trudi(
@@ -220,7 +213,7 @@ def chor_via_convolution(N: int, r: int, n_max: int) -> CauchyTable:
     _check_parameters(N, n_max, r)
     normalized = hgc_generating_series(N, n_max).reciprocal().coefficients
     powered = _power_by_recurrence(normalized, r)
-    return CauchyTable.from_normalized(N, r, powered, "convolution")
+    return CauchyTable.from_normalized(N, r, powered)
 
 
 Route = namedtuple("Route", ("compute", "cap", "any_order"))
@@ -229,8 +222,8 @@ returning a :class:`~hgcauchy.cauchy.CauchyTable`, its safety cap (an int or
 None) and whether it takes r > 1."""
 
 
-# method -> Route in the order of cauchy.METHODS. A route is called as
-# (N, r, n_max, cap) and looks its function up by module-level name when
+# method -> Route, in the order of the --method choices. A route is called
+# as (N, r, n_max, cap) and looks its function up by module-level name when
 # called, so a function rebound on its module is the one that runs.
 ROUTES = {
     "series": Route(lambda N, r, n, c: c_via_series(N, n), None, False),

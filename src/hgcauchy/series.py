@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
 
 from .errors import OrderExceeded, ZeroConstantTerm, _integer, _Record, _size
@@ -49,7 +50,7 @@ class TruncatedSeries(_Record):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Iterable[Fraction | int]):
-        coefficients = tuple(map(_fraction, coefficients))
+        coefficients = _fractions(coefficients)
         if not coefficients:
             raise ValueError("a series needs at least its constant coefficient")
         self._assign(coefficients)
@@ -59,12 +60,10 @@ class TruncatedSeries(_Record):
         cls, coefficients: Iterable[Fraction | int], order: int | None = None
     ) -> "TruncatedSeries":
         """Build a series, zero-padding or truncating to ``order`` if given."""
-        coeffs = list(coefficients)
-        if order is not None:
-            _size(order, "order")
-            coeffs = coeffs[: order + 1]
-            coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        return cls(tuple(coeffs))
+        if order is None:
+            return cls(coefficients)
+        coeffs = _fractions(coefficients, _size(order, "order") + 1)
+        return cls(coeffs + (Fraction(0),) * (order + 1 - len(coeffs)))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
@@ -160,6 +159,24 @@ def _fraction(value) -> Fraction:
         f"an exact value must be an int or a Fraction, "
         f"got {type(value).__name__} {value!r}"
     )
+
+
+def _fractions(values, stop: int | None = None, start: int = 0) -> tuple:
+    """The entries of ``values`` before index ``stop`` (all of them when
+    None), read in one pass: the one coercion of exact sequences. Each entry
+    from index ``start`` on goes through :func:`_fraction`; an entry before
+    ``start`` is kept as given, unread. A ``values`` that is not iterable
+    raises TypeError."""
+    try:
+        entries = iter(values)
+    except TypeError:
+        raise TypeError(
+            f"exact values must be an iterable of ints and Fractions, "
+            f"got {type(values).__name__} {values!r}"
+        ) from None
+    if stop is not None:
+        entries = islice(entries, stop)
+    return tuple(islice(entries, start)) + tuple(map(_fraction, entries))
 
 
 def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -281,16 +298,16 @@ def log1p_series(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def cameron_transform(x_seq: Sequence[Fraction]) -> list[Fraction]:
+def cameron_transform(x_seq: Iterable[Fraction]) -> list[Fraction]:
     """Sequence transform defined by 1 + sum z_n t^n = (1 - sum x_n t^n)^(-1).
 
     ``x_seq`` lists x_1 .. x_m; the result lists z_1 .. z_m.
     """
-    base = TruncatedSeries(tuple([Fraction(1)] + [-_fraction(v) for v in x_seq]))
+    base = TruncatedSeries((Fraction(1), *(-v for v in _fractions(x_seq))))
     return list(base.reciprocal().coefficients[1:])
 
 
-def cameron_inverse(z_seq: Sequence[Fraction]) -> list[Fraction]:
+def cameron_inverse(z_seq: Iterable[Fraction]) -> list[Fraction]:
     """Inverse transform: recover x_1 .. x_m from z_1 .. z_m."""
-    full = TruncatedSeries(tuple([Fraction(1)] + list(z_seq)))
+    full = TruncatedSeries((Fraction(1),) + _fractions(z_seq))
     return [-c for c in full.reciprocal().coefficients[1:]]

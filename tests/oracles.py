@@ -3,7 +3,9 @@
 Everything here is deliberately naive: dense cofactor determinants, direct
 enumeration sums, term-by-term Fraction loops for series products and
 triangular Toeplitz solves, and generators for random exact-rational inputs.
-Slow on purpose, trusted because there is nothing to get wrong.
+Slow on purpose, trusted because there is nothing to get wrong. The residue
+oracle (:func:`residues`) runs the same naive loops in a second arithmetic,
+integers modulo a large prime, so it reaches sizes the Fraction loops do not.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 from types import CodeType
 
 import hgcauchy
@@ -269,6 +272,84 @@ def denominator_bound_misses(N: int, values) -> list[int]:
         for n, v in enumerate(values)
         if denominator_bound(N, n) % (v / factorial(n)).denominator
     ]
+
+
+# Mersenne primes for the residue oracle, tried in this order
+RESIDUE_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
+
+
+def reduced(values, p: int) -> list[int]:
+    """Each Fraction of ``values`` modulo the prime p, which must divide no
+    denominator."""
+    return [v.numerator * pow(v.denominator, -1, p) % p for v in values]
+
+
+def product_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Coefficients 0 .. min(len(a), len(b)) - 1 of the product of two
+    series over GF(p), term by term."""
+    size = min(len(a), len(b))
+    return [sum(map(mul, a[: k + 1], b[k::-1])) % p for k in range(size)]
+
+
+def power_mod(a: list[int], exponent: int, p: int) -> list[int]:
+    """The ``exponent``-th power of a series over GF(p): that many naive
+    products, starting from 1."""
+    result = [1] + [0] * (len(a) - 1)
+    for _ in range(exponent):
+        result = product_mod(result, a, p)
+    return result
+
+
+def reciprocal_mod(a: list[int], p: int) -> list[int]:
+    """The reciprocal of a series over GF(p) by the textbook recurrence
+    out_k = -(1/a_0) sum_{j=1..k} a_j out_(k-j)."""
+    inv0 = pow(a[0], -1, p)
+    out = [inv0]
+    for k in range(1, len(a)):
+        out.append(-inv0 * sum(map(mul, a[1 : k + 1], out[::-1])) % p)
+    return out
+
+
+_residue_cache: dict[tuple[int, int, int], list[int]] = {}
+
+
+def residues(N: int, r: int, n: int, p: int) -> list[int]:
+    """c^(r)(N, k) mod p for k = 0 .. n, in integers mod p only: the bands
+    N/(N+k) reduced by pow(N + k, -1, p), their r-fold naive convolution
+    D_r(k), the band recurrence b_k = sum_{l=1..k} (-1)^(l-1) D_r(l) b_(k-l)
+    (the reciprocal of sum (-1)^l D_r(l) x^l), and k! b_k. The prime p must
+    divide no N + k. Kept per (N, r, p) at the largest n asked for."""
+    cached = _residue_cache.get((N, r, p), [])
+    if len(cached) > n:
+        return cached[: n + 1]
+    ratios = [N * pow(N + k, -1, p) % p for k in range(n + 1)]
+    weights = power_mod(ratios, r, p)
+    b = reciprocal_mod([(-1) ** l * w for l, w in enumerate(weights)], p)
+    out, scale = [], 1
+    for k, v in enumerate(b):
+        scale = scale * max(k, 1) % p
+        out.append(scale * v % p)
+    _residue_cache[N, r, p] = out
+    return out
+
+
+def residue_misses(N: int, r: int, values) -> list[int]:
+    """The k at which values[k], a table c^(r)(N, k) of exact rationals,
+    differs from :func:`residues` modulo either of the first two primes of
+    :data:`RESIDUE_PRIMES` that divide no N + k, k <= n."""
+    values = list(values)
+    n = len(values) - 1
+    # p divides some N + k exactly when [N, N + n] holds a multiple of p
+    primes = [p for p in RESIDUE_PRIMES if (N + n) // p == (N - 1) // p][:2]
+    assert len(primes) == 2, (N, n)
+    return sorted(
+        {
+            k
+            for p in primes
+            for k, (got, want) in enumerate(zip(reduced(values, p), residues(N, r, n, p)))
+            if got != want
+        }
+    )
 
 
 def profiled_arguments(outer, name: str, call):

@@ -73,23 +73,13 @@ class TestKnownValues:
 class TestTableValidation:
     def test_rejects_wrong_leading_value(self):
         with pytest.raises(ValueError):
-            CauchyTable(N=1, r=1, n_max=0, values=(F(2),), method="series")
+            CauchyTable(N=1, r=1, values=(F(2),))
+        with pytest.raises(ValueError, match="index 0 must be 1"):
+            CauchyTable(N=1, r=1, values=())
 
     def test_rejects_wrong_first_index(self):
         with pytest.raises(ValueError):
-            CauchyTable(
-                N=1, r=1, n_max=1, values=(F(1), F(1, 3)), method="series"
-            )
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            CauchyTable(N=1, r=1, n_max=2, values=(F(1), F(1, 2)), method="series")
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            CauchyTable(
-                N=1, r=1, n_max=1, values=(F(1), F(1, 2)), method="guesswork"
-            )
+            CauchyTable(N=1, r=1, values=(F(1), F(1, 3)))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -103,7 +93,7 @@ class TestTableValidation:
         with pytest.raises(TypeError, match="n_max must be an integer, not bool"):
             c_via_recurrence(2, False)
         with pytest.raises(TypeError, match="not bool"):
-            CauchyTable(N=True, r=1, n_max=0, values=(F(1),), method="series")
+            CauchyTable(N=True, r=1, values=(F(1),))
 
     def test_classical_determinants_reject_bool_and_float(self):
         with pytest.raises(TypeError, match="n_max must be an integer, not bool"):
@@ -141,10 +131,6 @@ class TestMethodAgreement:
         table = c_via_compositions(N, 14)
         assert table.values == c_via_series(N, 14).values
         assert denominator_bound_misses(N, table.values) == []
-
-    def test_method_labels(self):
-        assert c_via_series(1, 2).method == "series"
-        assert c_via_trudi(1, 2).method == "trudi"
 
 
 class TestDefiningRecurrence:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +282,42 @@ class TestInvert:
                 "--unsafe-caps",
             )
         assert exc.value.code == 2
+
+
+def _readme_examples():
+    """(argv, shown lines) of each ``$ hgcauchy`` example in README.md: the
+    lines after the command, up to a blank line or the end of its block."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = lines.splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ hgcauchy "):
+            shown = []
+            for follow in lines[i + 1 :]:
+                if not follow or follow.startswith("```"):
+                    break
+                shown.append(follow)
+            examples.append((line.split()[2:], shown))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_four_cli_examples():
+    commands = [argv[0] for argv, _ in README_EXAMPLES]
+    assert commands == ["compute", "compute", "verify", "invert"]
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
+)
+def test_readme_example_is_what_the_cli_prints(capsys, argv, shown):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if "..." not in shown:
+        assert out == "".join(f"{line}\n" for line in shown)
+    else:
+        # an example that elides its middle shows its first and last lines
+        printed = out.splitlines()
+        assert shown == [printed[0], "...", printed[-1]]

@@ -272,12 +272,38 @@ def test_composition_sum_deep_random_weights():
             lambda: composition_sum([F(0), F(2)], 2),
             "w supplies 2 terms, need 3 to read w[1..2]",
         ),
+        (
+            lambda: weak_composition_sum(iter([F(1)]), 3, 2),
+            "w supplies 1 terms, need 4 to read w[0..3]",
+        ),
+        (
+            lambda: composition_sum(iter([F(1)]), 3),
+            "w supplies 1 terms, need 4 to read w[1..3]",
+        ),
     ],
-    ids=["weak", "weak-empty", "strict", "strict-one-short"],
+    ids=[
+        "weak",
+        "weak-empty",
+        "strict",
+        "strict-one-short",
+        "weak-iterator",
+        "strict-iterator",
+    ],
 )
 def test_short_weight_lists_rejected(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_walks_read_a_one_pass_iterable_once():
+    # the strict walk reads w[1 .. t_max] and the weak walk w[0 .. total],
+    # and neither reads past its last weight
+    w = iter([None, 1, 2, 3, "unread"])
+    assert composition_sum(w, 3) == [1, 1, 3, 8] == composition_sum([0, 1, 2, 3], 3)
+    assert next(w) == "unread"
+    w = iter([1, 1, 1, "unread"])
+    assert weak_composition_sum(w, 2, 2) == [0, 1, 3]
+    assert next(w) == "unread"
 
 
 def test_walks_without_parts_read_no_weights():

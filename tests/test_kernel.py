@@ -12,12 +12,16 @@ from hgcauchy.errors import ZeroConstantTerm
 from hgcauchy.hessenberg import determinant_sequence, unit_lower_toeplitz_inverse
 from hgcauchy.series import TruncatedSeries, _power_by_recurrence, toeplitz_solve
 from oracles import (
+    RESIDUE_PRIMES,
     naive_determinant_sequence,
     naive_product,
     naive_reciprocal,
     naive_toeplitz_inverse,
+    power_mod,
     random_coefficients,
     random_fraction,
+    reciprocal_mod,
+    reduced,
 )
 
 SEED = 20180215
@@ -261,3 +265,17 @@ class TestPowerByRecurrence:
     def test_exponent_must_be_a_size(self, exponent, error, message):
         with pytest.raises(error, match=message):
             _power_by_recurrence([F(2), F(1)], exponent)
+
+
+@pytest.mark.parametrize("p", RESIDUE_PRIMES[:2], ids=["2^61-1", "2^89-1"])
+def test_kernels_agree_with_residues_at_order_200(p):
+    # past the reach of the Fraction loops: the solve, the square-and-multiply
+    # power (through _convolve) and Miller's recurrence, reduced mod p, against
+    # naive loops over GF(p)
+    rng = random.Random(SEED)
+    a = random_coefficients(rng, 200, nonzero_constant=True)
+    residues = reduced(a, p)
+    assert reduced(toeplitz_solve(a), p) == reciprocal_mod(residues, p)
+    cube = power_mod(residues, 3, p)
+    assert reduced(TruncatedSeries(a).power(3).coefficients, p) == cube
+    assert reduced(_power_by_recurrence(a, 3), p) == cube

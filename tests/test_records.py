@@ -32,7 +32,7 @@ def bump(monkeypatch, owner, name, index=None, when=None):
         values = list(out.values if isinstance(out, CauchyTable) else out)
         values[index] += 1
         if isinstance(out, CauchyTable):
-            return CauchyTable(out.N, out.r, out.n_max, values, out.method)
+            return CauchyTable(out.N, out.r, values)
         return values
 
     monkeypatch.setattr(owner, name, bumped)

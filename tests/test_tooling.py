@@ -6,7 +6,8 @@ The benchmark replays CLI argv lines against the stdout digests in
 both break silently if the package drifts, so both are checked here in
 tier 1: the ``verify`` and ``invert`` lines and every ``compute`` line, each
 once, the five slowest (``compositions`` at n = 20) in a test of their own.
-Each replayed ``compute`` table must also meet the denominator bound Q_n(N).
+Each replayed ``compute`` table must also meet the denominator bound Q_n(N)
+and agree with the residue oracle at two primes.
 ``golden.json`` is only read, never re-recorded; it holds the text form of
 the ``verify`` lines, so the JSON form of ``verify --suite all`` is pinned
 by a digest here. The source guards read
@@ -40,15 +41,18 @@ import pytest
 
 import hgcauchy
 from hgcauchy import cli
-from hgcauchy.cauchy import METHODS, c_via_compositions, c_via_series, c_via_trudi
+from hgcauchy.cauchy import c_via_compositions, c_via_series, c_via_trudi
 from hgcauchy.higher import (
+    ROUTES,
     chor_via_convolution,
     chor_via_explicit,
     chor_via_recurrence,
     chor_via_trudi,
 )
-from oracles import denominator_bound_misses, profiled_functions
+from oracles import denominator_bound_misses, profiled_functions, residue_misses
 
+# the seven --method names, read from the one route table
+METHODS = tuple(ROUTES)
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 PACKAGE = Path(hgcauchy.__file__).parent
 GOLDEN = json.loads((BENCH / "golden.json").read_text())
@@ -92,6 +96,13 @@ def _bound_misses(stdout):
     that does not divide Q_n(N)."""
     payload = json.loads(stdout)
     return denominator_bound_misses(payload["N"], map(Fraction, payload["values"]))
+
+
+def _residue_misses(stdout):
+    """The n at which a ``compute`` JSON table differs from the residue
+    oracle's c^(r)(N, n) at either of two primes."""
+    payload = json.loads(stdout)
+    return residue_misses(payload["N"], payload["r"], map(Fraction, payload["values"]))
 
 
 @pytest.mark.parametrize("line", VERIFY_LINES)
@@ -142,6 +153,7 @@ def test_compute_stdout_matches_golden_digest(method):
     stdout = {line: _stdout(line) for line in lines}
     assert [line for line in lines if _digest(stdout[line]) != GOLDEN[line]] == []
     assert [line for line in lines if _bound_misses(stdout[line])] == []
+    assert [line for line in lines if _residue_misses(stdout[line])] == []
 
 
 def test_golden_file_holds_the_slowest_compute_lines():
@@ -153,6 +165,7 @@ def test_slowest_compute_stdout_matches_golden_digest(line):
     stdout = _stdout(line)
     assert _digest(stdout) == GOLDEN[line]
     assert _bound_misses(stdout) == []
+    assert _residue_misses(stdout) == []
 
 
 def _load_tracer():
@@ -279,11 +292,13 @@ CONVOLUTION_SHARES_WITH_RECURRENCE = {
     "cauchy.CauchyTable.from_normalized",
     "cauchy._check_parameters",
     "cauchy._ratios",
+    "cauchy._table_values",
     "errors._Record._assign",
     "errors._integer",
     "errors._size",
     "series.TruncatedSeries.__init__",
     "series._fraction",
+    "series._fractions",
     "series._horner",
     "series._over_running_lcm",
     "series._scaled",
@@ -316,10 +331,12 @@ SERIES_SHARES_WITH_COMPOSITIONS = {
     "cauchy.CauchyTable.from_normalized",
     "cauchy._check_parameters",
     "cauchy._ratios",
+    "cauchy._table_values",
     "errors._Record._assign",
     "errors._integer",
     "errors._size",
     "series._fraction",
+    "series._fractions",
 }
 SERIES_SHARES_WITH_TRUDI = SERIES_SHARES_WITH_COMPOSITIONS | {"series._scaled"}
 RECURRENCE_SHARES_WITH_EXPLICIT = SERIES_SHARES_WITH_TRUDI | {
@@ -360,6 +377,20 @@ RECURRENCE_SHARES_WITH_TRUDI = RECURRENCE_SHARES_WITH_EXPLICIT
 )
 def test_sharing_ledger(first, second, shared):
     assert profiled_functions(first) & profiled_functions(second) == shared
+
+
+def test_the_route_table_is_the_one_method_registry():
+    # only higher.ROUTES lists all seven --method names; any other module
+    # reads them from it, or names a selection of them
+    holders = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict))
+        and set(METHODS)
+        <= {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
+    ]
+    assert [holder.partition(":")[0] for holder in holders] == ["higher.py"], holders
 
 
 def _module_names(tree):

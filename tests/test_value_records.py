@@ -17,12 +17,14 @@ from fractions import Fraction as F
 import pytest
 
 from hgcauchy.cauchy import CauchyTable
+from hgcauchy.combinat import composition_sum, weak_composition_sum
 from hgcauchy.hessenberg import (
     HessenbergSpec,
     determinant_sequence,
+    trudi_sequence,
     unit_lower_toeplitz_inverse,
 )
-from hgcauchy.higher import Route, WeightTable
+from hgcauchy.higher import ROUTES, Route, WeightTable
 from hgcauchy.relations import ChainIndex
 from hgcauchy.report import VerificationReport
 from hgcauchy.series import TruncatedSeries, cameron_inverse, cameron_transform
@@ -37,9 +39,9 @@ RECORDS = [
     ),
     pytest.param(
         CauchyTable,
-        {"N": 1, "r": 1, "n_max": 2, "values": (1, F(1, 2), F(-1, 6)), "method": "series"},
-        "CauchyTable(N=1, r=1, n_max=2, values=(Fraction(1, 1), Fraction(1, 2), "
-        "Fraction(-1, 6)), method='series')",
+        {"N": 1, "r": 1, "values": (1, F(1, 2), F(-1, 6))},
+        "CauchyTable(N=1, r=1, values=(Fraction(1, 1), Fraction(1, 2), "
+        "Fraction(-1, 6)))",
         id="CauchyTable",
     ),
     pytest.param(
@@ -51,8 +53,8 @@ RECORDS = [
     ),
     pytest.param(
         WeightTable,
-        {"N": 1, "r": 2, "e_max": 1, "values": (1, 1)},
-        "WeightTable(N=1, r=2, e_max=1, values=(Fraction(1, 1), Fraction(1, 1)))",
+        {"N": 1, "r": 2, "values": (1, 1)},
+        "WeightTable(N=1, r=2, values=(Fraction(1, 1), Fraction(1, 1)))",
         id="WeightTable",
     ),
     pytest.param(
@@ -108,16 +110,21 @@ def test_equal_records_hash_alike(cls, fields, text):
 
 
 def test_records_of_two_classes_never_compare_equal():
-    table = CauchyTable(1, 2, 1, (1, 1), "recurrence")
-    weights = WeightTable(1, 2, 1, (1, 1))
+    table = CauchyTable(1, 2, (1, 1))
+    weights = WeightTable(1, 2, (1, 1))
     assert table.values == weights.values
     assert table != weights and weights != table
     assert CauchyTable.__eq__(table, weights) is NotImplemented
 
 
 def test_records_differ_when_one_field_differs():
-    base = CauchyTable(1, 1, 1, (1, F(1, 2)), "series")
-    assert base != CauchyTable(1, 1, 1, (1, F(1, 2)), "recurrence")
+    # a table carries no route: two routes with equal values give equal
+    # tables, and only its values, N or r tell two tables apart
+    series, convolution = ROUTES["series"], ROUTES["convolution"]
+    table = series.compute(2, 1, 6, series.cap)
+    other = convolution.compute(2, 1, 6, convolution.cap)
+    assert table == other and hash(table) == hash(other)
+    assert table != CauchyTable(2, 1, table.values[:-1])
     report = VerificationReport("core/x", (1, 1, 3), "pass")
     assert report != VerificationReport("core/x", (1, 1, 4), "pass")
 
@@ -198,9 +205,9 @@ INEXACT = [
         id="series-decimal",
     ),
     pytest.param(
-        lambda: CauchyTable(1, 1, 1, (1, 0.5), "series"), "float 0.5", id="table"
+        lambda: CauchyTable(1, 1, (1, 0.5)), "float 0.5", id="table"
     ),
-    pytest.param(lambda: WeightTable(1, 1, 0, (1.0,)), "float 1.0", id="weights"),
+    pytest.param(lambda: WeightTable(1, 1, (1.0,)), "float 1.0", id="weights"),
     pytest.param(lambda: HessenbergSpec(1.5, [1]), "float 1.5", id="spec-super"),
     pytest.param(lambda: HessenbergSpec(1, [True]), "bool True", id="spec-band-bool"),
     pytest.param(
@@ -222,6 +229,40 @@ def test_inexact_values_are_refused(call, shown):
     text = f"an exact value must be an int or a Fraction, got {shown}"
     with pytest.raises(TypeError, match=re.escape(text)):
         call()
+
+
+# one call per entry point that takes a sequence of exact values, and a
+# sequence it accepts
+SEQUENCES = [
+    pytest.param(TruncatedSeries, (1, F(1, 2)), id="series"),
+    pytest.param(
+        lambda v: TruncatedSeries.from_coefficients(v, order=3), (1, 2), id="padded"
+    ),
+    pytest.param(lambda v: CauchyTable(1, 1, v), (1, F(1, 2), F(-1, 6)), id="table"),
+    pytest.param(lambda v: WeightTable(1, 2, v), (1, 1, F(11, 12)), id="weights"),
+    pytest.param(lambda v: HessenbergSpec(1, v), (F(1, 2), 3), id="spec"),
+    pytest.param(lambda v: determinant_sequence(1, v), (F(1, 2), 3), id="determinant"),
+    pytest.param(lambda v: trudi_sequence(1, v), (F(1, 2), 3), id="trudi"),
+    pytest.param(unit_lower_toeplitz_inverse, (F(1, 2), 3), id="toeplitz-inverse"),
+    pytest.param(cameron_transform, (F(1, 2), 3), id="transform"),
+    pytest.param(cameron_inverse, (F(1, 2), 3), id="inverse"),
+    pytest.param(lambda v: composition_sum(v, 2), (0, F(1, 2), 3), id="strict-walk"),
+    pytest.param(
+        lambda v: weak_composition_sum(v, 2, 2), (1, F(1, 2), 3), id="weak-walk"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, values", SEQUENCES)
+def test_a_one_pass_iterable_reads_as_its_list(call, values):
+    assert call(iter(values)) == call(list(values))
+
+
+@pytest.mark.parametrize("call, values", SEQUENCES)
+def test_a_non_iterable_sequence_is_refused(call, values):
+    text = "exact values must be an iterable of ints and Fractions, got int 5"
+    with pytest.raises(TypeError, match=re.escape(text)):
+        call(5)
 
 
 def test_ints_become_fractions():

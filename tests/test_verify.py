@@ -6,7 +6,6 @@ from operator import mul
 import pytest
 
 from hgcauchy import cauchy, higher, series, verify
-from hgcauchy.cauchy import METHODS
 from hgcauchy.report import VerificationReport, check, erratum, failed, passed
 from hgcauchy.verify import (
     core_suite,
@@ -309,7 +308,7 @@ class TestComputationsCompared:
     def test_all_suites_compute_every_method_at_first_order(self, monkeypatch):
         # every computation runs at r = 1 and at r = 2; ``determinant``
         # reruns the solve and is left to the golden replay
-        assert set(COMPUTATIONS) == set(METHODS)
+        assert set(COMPUTATIONS) == set(higher.ROUTES)
         calls = record_route_calls(monkeypatch)
         run_suites("all", N_max=1, r_max=2, n_max=4)
         first = {method for method, r in calls if r == 1}
