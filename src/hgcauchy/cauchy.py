@@ -19,13 +19,17 @@ Five first-order routes to the same table are implemented:
 With the order-r routes of :mod:`hgcauchy.higher` they make the seven
 ``--method`` names of the route table :data:`hgcauchy.higher.ROUTES`, which
 holds how each runs, its cap and whether it takes r > 1. The seven run four
-computations, each written once below over bands d_0 .. d_n (N/(N+k) here,
+computations, each written once over bands d_0 .. d_n (N/(N+k) here,
 D_r(k) at order r) and scaled once by :meth:`CauchyTable.from_normalized`:
-the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`
-(``series``, ``recurrence``, ``determinant``), the composition walk
-(``compositions``, ``explicit``), the Trudi walk (``trudi``) and, in
-``higher``, the r-th power of the first-order series by Miller's
-recurrence (``convolution``).
+the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`, the
+composition walk (``compositions``, ``explicit``), the Trudi walk
+(``trudi``) and, in ``higher``, the r-th power of the first-order series by
+Miller's recurrence (``convolution``). Glaisher's determinant is the
+defining recurrence expanded along its last column, so ``recurrence`` and
+``determinant`` run one body, :func:`_solve_table`, which hands the solve
+the signed bands through :func:`~hgcauchy.hessenberg.determinant_sequence`;
+``series`` hands it the same list, the coefficients of F_N, through
+:meth:`~hgcauchy.series.TruncatedSeries.reciprocal`.
 The two walks share no arithmetic with the solve, so at r = 1 the
 ``core/method-agreement`` record of :mod:`hgcauchy.verify` compares one
 route of each: ``series``, ``compositions`` and ``trudi``, and ``higher``
@@ -55,7 +59,7 @@ from .hessenberg import (
     trudi_sequence,
 )
 from .report import VerificationReport
-from .series import TruncatedSeries, _fractions, toeplitz_solve
+from .series import TruncatedSeries, _fractions
 
 __all__ = [
     "CauchyTable",
@@ -125,7 +129,8 @@ class CauchyTable(_Record):
 
 def hgc_generating_series(N: int, order: int) -> TruncatedSeries:
     """The truncated Gauss series F_N: coefficient j is (-1)^j N/(N+j)."""
-    _check_parameters(N, order)
+    _check_parameters(N, 0)
+    _size(order, "order")
     return TruncatedSeries(
         tuple((-1) ** j * v for j, v in enumerate(_ratios(N, 1, order)))
     )
@@ -138,22 +143,16 @@ def c_via_series(N: int, n_max: int) -> CauchyTable:
     return CauchyTable.from_normalized(N, 1, recip.coefficients)
 
 
-# The four route computations, over bands(N, r, n_max) = [d_0 .. d_n_max].
+# The solve and the two walks, over bands(N, r, n_max) = [d_0 .. d_n_max].
 Bands = Callable[[int, int, int], list[Fraction]]
 
 
-def _recurrence_table(N: int, r: int, n_max: int, bands: Bands) -> CauchyTable:
-    """n! b_n with sum_{l=0..n} (-1)^l d_l b_(n-l) = 0 for n >= 1, b_0 = 1,
-    one triangular Toeplitz solve (:func:`~hgcauchy.series.toeplitz_solve`)."""
-    _check_parameters(N, n_max, r)
-    d = bands(N, r, n_max)
-    b = toeplitz_solve([(-1) ** l * v for l, v in enumerate(d)])
-    return CauchyTable.from_normalized(N, r, b)
-
-
-def _determinant_table(N: int, r: int, n_max: int, bands: Bands) -> CauchyTable:
+def _solve_table(N: int, r: int, n_max: int, bands: Bands) -> CauchyTable:
     """n! times the unit-superdiagonal Hessenberg determinants over d_1 .. d_n
-    (:func:`~hgcauchy.hessenberg.determinant_sequence`, the same solve)."""
+    (Glaisher's determinant). Expanded along the last column, they are the
+    band recurrence sum_{l=0..n} (-1)^l d_l b_(n-l) = 0 for n >= 1, b_0 = 1,
+    so :func:`~hgcauchy.hessenberg.determinant_sequence` takes them by one
+    triangular Toeplitz solve."""
     _check_parameters(N, n_max, r)
     dets = determinant_sequence(1, bands(N, r, n_max)[1:])
     return CauchyTable.from_normalized(N, r, dets)
@@ -190,12 +189,12 @@ def c_via_recurrence(N: int, n_max: int) -> CauchyTable:
         sum_{i=0..n} (-1)^i c(N, i) / ((N + n - i) i!) = 0   for n >= 1,
 
     which in b_n = c(N, n)/n! is the band recurrence over N/(N+l)."""
-    return _recurrence_table(N, 1, n_max, _ratios)
+    return _solve_table(N, 1, n_max, _ratios)
 
 
 def c_via_determinant(N: int, n_max: int) -> CauchyTable:
     """n! times the n x n unit-superdiagonal determinant over bands N/(N+k)."""
-    return _determinant_table(N, 1, n_max, _ratios)
+    return _solve_table(N, 1, n_max, _ratios)
 
 
 def c_via_compositions(

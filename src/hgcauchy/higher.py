@@ -11,11 +11,12 @@ the e-th coefficient of (sum_j N/(N+j) x^j)^r, so F_N(x)^r has coefficients
 (-1)^e D_r(e). Four of the five order-r routes below are one-line entries
 over the computations of :mod:`hgcauchy.cauchy` on the bands D_r(k), so at
 r = 1 each returns the first-order table: ``recurrence`` and ``determinant``
-hand the Toeplitz solve one list, ``explicit`` reaches the composition walk
-and ``trudi`` the Trudi walk. ``convolution`` raises the normalized
-first-order series to the r-th power by Miller's recurrence
-(:func:`~hgcauchy.series._power_by_recurrence`) and never touches the
-weights, nor the square-and-multiply power that builds them.
+are two names of one body, the Toeplitz solve of Glaisher's determinant,
+``explicit`` reaches the composition walk and ``trudi`` the Trudi walk.
+``convolution`` raises the normalized first-order series to the r-th power
+by Miller's recurrence (:func:`~hgcauchy.series._power_by_recurrence`) and
+never touches the weights, nor the square-and-multiply power that builds
+them.
 ``higher/method-agreement`` in :mod:`hgcauchy.verify` compares the four
 computations, one route each, at every r from 1 against ``recurrence``.
 :data:`ROUTES`, the one table of the seven ``--method`` names, lives here,
@@ -33,9 +34,8 @@ from .cauchy import (
     CauchyTable,
     _check_parameters,
     _composition_table,
-    _determinant_table,
     _ratios,
-    _recurrence_table,
+    _solve_table,
     _table_values,
     _trudi_table,
     c_via_compositions,
@@ -43,7 +43,7 @@ from .cauchy import (
     hgc_generating_series,
 )
 from .combinat import STRICT_COMPOSITION_CAP, weak_composition_sum
-from .errors import _integer, _Record
+from .errors import _integer, _Record, _size
 from .hessenberg import (
     PARTITION_CAP,
     Chain,
@@ -81,7 +81,8 @@ class WeightTable(_Record):
 
 def weight_D(N: int, r: int, e_max: int) -> WeightTable:
     """Weights via the r-fold self-convolution of the ratio sequence N/(N+j)."""
-    _check_parameters(N, e_max, r)
+    _check_parameters(N, 0, r)
+    _size(e_max, "e_max")
     powered = TruncatedSeries(tuple(_ratios(N, 1, e_max))).power(r)
     return WeightTable(N, r, powered.coefficients)
 
@@ -94,7 +95,8 @@ def weight_D_by_enumeration(N: int, r: int, e_max: int) -> list[Fraction]:
     Exponential in e and r; kept as the independent cross-check for
     :func:`weight_D`.
     """
-    _check_parameters(N, e_max, r)
+    _check_parameters(N, 0, r)
+    _size(e_max, "e_max")
     w = [Fraction(1, N + i) for i in range(e_max + 1)]
     return [N**r * weak_composition_sum(w, e, r)[r] for e in range(e_max + 1)]
 
@@ -171,12 +173,12 @@ def chor_via_recurrence(N: int, r: int, n_max: int) -> CauchyTable:
         b_n = sum_{l=1..n} (-1)^(l-1) D_r(l) b_(n-l),    b_0 = 1,
 
     with c^(r)(N, n) = n! b_n."""
-    return _recurrence_table(N, r, n_max, _weights)
+    return _solve_table(N, r, n_max, _weights)
 
 
 def chor_via_determinant(N: int, r: int, n_max: int) -> CauchyTable:
     """n! times the Hessenberg determinant over weight bands D_r(1) .. D_r(n)."""
-    return _determinant_table(N, r, n_max, _weights)
+    return _solve_table(N, r, n_max, _weights)
 
 
 def chor_via_explicit(

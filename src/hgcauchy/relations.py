@@ -138,7 +138,7 @@ def chain_sum(
     """Full descending-chain expansion, checked for n = 1 .. n_max. With
     b_t = c(N-1, t)/t!, the chains of head n and tail t sum to n! b_t S[n-t],
     where S is the composition sum of the gap weights N/(1-N) b_(g+1)."""
-    _within_cap("descending chain enumeration", n_max, cap)
+    _within_cap("descending chain enumeration", _size(n_max, "n_max"), cap)
     current, previous = _tables(N, n_max)
     b = [v / factorial(t) for t, v in enumerate(previous)]
     # gap g weighs N/(1-N) b[g+1], entry g of this list

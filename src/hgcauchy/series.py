@@ -1,8 +1,9 @@
 """Truncated formal power series over exact rationals.
 
 Coefficients are ``fractions.Fraction`` throughout; every operation is exact.
-A series always carries its truncation order, and a binary operation truncates
-its result to the smaller order of the two operands.
+A series always carries its truncation order, and a product truncates to the
+smaller order of its two factors. The operations are the ones the package
+runs: product, reciprocal, power and the divided-power derivative.
 
 Products, reciprocals and powers go through three kernels: :func:`_convolve`,
 :func:`toeplitz_solve` and :func:`_power_by_recurrence` (J.C.P. Miller's
@@ -15,11 +16,12 @@ denominators. Every dot product is then one Horner sum in plain integers
 normalization), instead of paying a gcd for each term the way a running
 ``Fraction`` sum does. A term is only as wide as the denominators
 met so far. Every triangular Toeplitz solve in the package (series
-reciprocal, determinant recurrence, band inversion, the recurrence routes)
-is a call to :func:`toeplitz_solve`. :meth:`TruncatedSeries.power` takes
-square-and-multiply products and builds the weights of the order-r routes;
-:func:`_power_by_recurrence` takes one O(n^2) pass for any exponent and
-serves only the ``convolution`` route, so the two powers check each other.
+reciprocal, the determinant recurrence behind the recurrence and
+determinant routes, band inversion) is a call to :func:`toeplitz_solve`.
+:meth:`TruncatedSeries.power` takes square-and-multiply products and builds
+the weights of the order-r routes; :func:`_power_by_recurrence` takes one
+O(n^2) pass for any exponent and serves only the ``convolution`` route, so
+the two powers check each other.
 
 The divided-power derivative implemented here sends x^m to C(m, n) x^(m-n)
 (no factorial in front), which is the convenient normalization when formulas
@@ -56,18 +58,8 @@ class TruncatedSeries(_Record):
         self._assign(coefficients)
 
     @classmethod
-    def from_coefficients(
-        cls, coefficients: Iterable[Fraction | int], order: int | None = None
-    ) -> "TruncatedSeries":
-        """Build a series, zero-padding or truncating to ``order`` if given."""
-        if order is None:
-            return cls(coefficients)
-        coeffs = _fractions(coefficients, _size(order, "order") + 1)
-        return cls(coeffs + (Fraction(0),) * (order + 1 - len(coeffs)))
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([1], order=order)
+        return cls((Fraction(1),) + (Fraction(0),) * _size(order, "order"))
 
     def __str__(self) -> str:
         return " ".join(map(str, self.coefficients))
@@ -81,31 +73,10 @@ class TruncatedSeries(_Record):
             raise IndexError(f"coefficient {k} of a series of order {self.order}")
         return self.coefficients[k]
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(
-                self.coefficients[k] + other.coefficients[k]
-                for k in range(order + 1)
-            )
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coefficients))
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return TruncatedSeries(_convolve(self.coefficients, other.coefficients))
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return TruncatedSeries(tuple(c * other for c in self.coefficients))
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse to the same order.

@@ -17,7 +17,8 @@ compares the four of c^(r)(N, n) at every r from 1: the solve
 (``recurrence``), the two walks (``explicit``, ``trudi``) and the r-th power
 of the first-order series (``convolution``), whose power by Miller's
 recurrence shares no series product with the square-and-multiply power
-behind the weights D_r; ``determinant`` reruns the solve.
+behind the weights D_r. ``determinant`` is the solve's other name: it runs
+the same body as ``recurrence``, so comparing the two would check nothing.
 
 The erratum-noted records: four identities fail as literally printed in the
 source material this package was transcribed from, while their corrected
@@ -99,7 +100,7 @@ def _random_series(
 # the three computations of c(N, n) at r = 1, the solve first: the other
 # routes at r = 1 rerun one of these on equal bands (see hgcauchy.cauchy)
 _FIRST_ORDER_METHODS = ("series", "compositions", "trudi")
-# the four order-r computations, the solve first; ``determinant`` reruns it
+# the four order-r computations, the solve first; ``determinant`` runs its body
 _ORDER_R_METHODS = ("recurrence", "trudi", "explicit", "convolution")
 
 
@@ -535,7 +536,7 @@ def _transform_roundtrip(seed: int) -> VerificationReport:
     order = 20
 
     def cases():
-        as_series = TruncatedSeries.from_coefficients
+        as_series = TruncatedSeries
         rng = random.Random(seed + 4)
         x = [_random_fraction(rng) for _ in range(order)]
         yield order, as_series(x), as_series(cameron_inverse(cameron_transform(x)))

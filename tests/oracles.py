@@ -16,7 +16,7 @@ import random
 import sys
 from fractions import Fraction
 from math import factorial, lcm
-from operator import mul
+from operator import add, mul
 from types import CodeType
 
 import hgcauchy
@@ -238,18 +238,23 @@ def naive_trudi_printed_variant(N: int, n: int) -> Fraction:
     return factorial(n) * total
 
 
+def naive_sum(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """The coefficient-wise sum of two series, to the smaller order."""
+    return TruncatedSeries(tuple(map(add, a.coefficients, b.coefficients)))
+
+
 def naive_product_rule_rhs(
     factors: list[TruncatedSeries], n: int
 ) -> TruncatedSeries:
     """The sum over weak compositions (i_1, .., i_k) of n of the products of
     the derivatives H^(i_j) f_j, each term multiplied from scratch as
-    series."""
+    series and summed by :func:`naive_sum`."""
     rhs = None
     for parts in weak_compositions(n, len(factors)):
         term = factors[0].ht_derivative(parts[0])
         for f, i in zip(factors[1:], parts[1:]):
             term = term * f.ht_derivative(i)
-        rhs = term if rhs is None else rhs + term
+        rhs = term if rhs is None else naive_sum(rhs, term)
     return rhs
 
 

@@ -114,6 +114,10 @@ class TestGeneratingSeries:
         for j in range(6):
             assert s.coefficient(j) == F((-1) ** j * 3, 3 + j)
 
+    def test_errors_name_order(self):
+        with pytest.raises(ValueError, match="order must be non-negative, got -1"):
+            hgc_generating_series(2, -1)
+
 
 class TestMethodAgreement:
     def test_all_methods_identical(self):

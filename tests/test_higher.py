@@ -80,6 +80,22 @@ class TestWeights:
             with pytest.raises(TypeError, match="r must be an integer, got float"):
                 method(2, 2.0, 3)
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: weight_D(2, 2, True), TypeError, "e_max must be an integer, not bool"),
+            (
+                lambda: weight_D_by_enumeration(2, 2, -1),
+                ValueError,
+                "e_max must be non-negative, got -1",
+            ),
+        ],
+        ids=["weight_D", "weight_D_by_enumeration"],
+    )
+    def test_errors_name_e_max(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
 
 def corrected_fourth_display(N, r):
     """The e = 4 weight display with its pair-of-twos term repaired:

@@ -139,6 +139,19 @@ class TestChainExpansion:
         with pytest.raises(CapExceeded):
             chain_sum(2, CHAIN_CAP + 1)
 
+    @pytest.mark.parametrize(
+        "n_max, message",
+        [
+            ("3", "n_max must be an integer, got str '3'"),
+            (None, "n_max must be an integer, got NoneType None"),
+        ],
+        ids=["str", "None"],
+    )
+    def test_size_checked_before_the_cap(self, n_max, message):
+        # the size is checked before the cap is compared with it
+        with pytest.raises(TypeError, match=message):
+            chain_sum(2, n_max)
+
     def test_examples(self):
         for N in range(2, 7):
             first = chain_example_first(N)

@@ -13,7 +13,7 @@ from hgcauchy.series import (
     cameron_transform,
     log1p_series,
 )
-from oracles import random_coefficients, random_fraction
+from oracles import naive_sum, random_coefficients, random_fraction
 
 SEED = 1729
 
@@ -26,14 +26,6 @@ class TestConstruction:
     def test_order_is_length_minus_one(self):
         assert series(1, 2, 3).order == 2
         assert series(5).order == 0
-
-    def test_from_coefficients_pads(self):
-        s = TruncatedSeries.from_coefficients([F(1)], order=3)
-        assert s.coefficients == (F(1), F(0), F(0), F(0))
-
-    def test_from_coefficients_truncates(self):
-        s = TruncatedSeries.from_coefficients([F(1), F(2), F(3)], order=1)
-        assert s.coefficients == (F(1), F(2))
 
     def test_coefficient_out_of_range(self):
         with pytest.raises(IndexError):
@@ -52,7 +44,7 @@ class TestConstruction:
             (lambda s: log1p_series(2.5), "order must be an integer, got float"),
             (lambda s: log1p_series(True), "order must be an integer, not bool"),
             (
-                lambda s: TruncatedSeries.from_coefficients([1], order=1.0),
+                lambda s: TruncatedSeries.one(1.0),
                 "order must be an integer, got float 1.0",
             ),
         ],
@@ -63,7 +55,7 @@ class TestConstruction:
             "coefficient",
             "log1p_series-float",
             "log1p_series-bool",
-            "from_coefficients",
+            "one",
         ],
     )
     def test_bool_and_float_sizes_rejected(self, call, message):
@@ -82,18 +74,26 @@ class TestArithmetic:
         a = series(1, 1, 1, 1)
         b = series(1, 1)
         assert (a * b).order == 1
-        assert (a + b).order == 1
-        assert (a - b).order == 1
+        assert (b * a).order == 1
 
     def test_scalar_multiplication(self):
+        # a series multiplies only by a series; the package scales
+        # coefficient tuples, never a series
         a = series(1, F(1, 2))
-        assert (3 * a).coefficients == (F(3), F(3, 2))
-        assert (a * F(1, 3)).coefficients == (F(1, 3), F(1, 6))
+        for scalar in (3, F(1, 3)):
+            with pytest.raises(TypeError):
+                scalar * a
+            with pytest.raises(TypeError):
+                a * scalar
+        assert a.__mul__(3) is NotImplemented
 
     def test_negation_and_subtraction(self):
+        # a series has no additive operations
         a = series(1, 2)
-        assert (-a).coefficients == (F(-1), F(-2))
-        assert (a - a).coefficients == (F(0), F(0))
+        with pytest.raises(TypeError):
+            -a
+        with pytest.raises(TypeError):
+            a - a
 
     def test_power_matches_repeated_multiplication(self):
         rng = random.Random(SEED)
@@ -130,7 +130,6 @@ class TestOperandTypes:
                 other + a
             with pytest.raises(TypeError):
                 a - other
-        assert a.__add__(1) is NotImplemented
 
     def test_bool_is_not_a_scalar(self):
         a = series(1, 2)
@@ -140,7 +139,6 @@ class TestOperandTypes:
             with pytest.raises(TypeError):
                 flag * a
         assert a.__mul__(True) is NotImplemented
-        assert (a * 1).coefficients == a.coefficients
 
 
 class TestReciprocal:
@@ -205,7 +203,7 @@ class TestDerivative:
                 term = factors[0].ht_derivative(parts[0])
                 for f, i in zip(factors[1:], parts[1:]):
                     term = term * f.ht_derivative(i)
-                rhs = term if rhs is None else rhs + term
+                rhs = term if rhs is None else naive_sum(rhs, term)
             assert lhs == rhs
 
     def test_quotient_rules(self):

@@ -20,7 +20,10 @@ built only in ``report``, the inverse bands are solved only in the
 reference enumerators, and no module imports ``dataclasses`` or ``typing``,
 so a CLI process loads neither (nor ``inspect``, which ``dataclasses`` pulls
 in). Every public name has a reader outside the tests, and a ledger pins
-which functions each pair of compared computations shares.
+which functions each pair of compared computations shares; ``recurrence``
+and ``determinant`` run one body. Every function the package defines runs
+under some CLI command, unless it is a tracer target, an acceptance import
+or listed, with its reason, as one a passing run never reaches.
 """
 
 import ast
@@ -41,15 +44,27 @@ import pytest
 
 import hgcauchy
 from hgcauchy import cli
-from hgcauchy.cauchy import c_via_compositions, c_via_series, c_via_trudi
+from hgcauchy.cauchy import (
+    c_via_compositions,
+    c_via_determinant,
+    c_via_recurrence,
+    c_via_series,
+    c_via_trudi,
+)
 from hgcauchy.higher import (
     ROUTES,
     chor_via_convolution,
+    chor_via_determinant,
     chor_via_explicit,
     chor_via_recurrence,
     chor_via_trudi,
 )
-from oracles import denominator_bound_misses, profiled_functions, residue_misses
+from oracles import (
+    _function_names,
+    denominator_bound_misses,
+    profiled_functions,
+    residue_misses,
+)
 
 # the seven --method names, read from the one route table
 METHODS = tuple(ROUTES)
@@ -379,6 +394,30 @@ def test_sharing_ledger(first, second, shared):
     assert profiled_functions(first) & profiled_functions(second) == shared
 
 
+@pytest.mark.parametrize(
+    "recurrence, determinant, entries",
+    [
+        (
+            lambda: c_via_recurrence(3, 8),
+            lambda: c_via_determinant(3, 8),
+            ("cauchy.c_via_recurrence", "cauchy.c_via_determinant"),
+        ),
+        (
+            lambda: chor_via_recurrence(3, 2, 8),
+            lambda: chor_via_determinant(3, 2, 8),
+            ("higher.chor_via_recurrence", "higher.chor_via_determinant"),
+        ),
+    ],
+    ids=["first-order", "order-r"],
+)
+def test_recurrence_and_determinant_run_one_body(recurrence, determinant, entries):
+    # Glaisher's determinant is the band recurrence expanded along its last
+    # column, so the two routes run one solve and differ only in their entries
+    ran = profiled_functions(recurrence) - {entries[0]}
+    assert ran == profiled_functions(determinant) - {entries[1]}
+    assert "hessenberg.determinant_sequence" in ran
+
+
 def test_the_route_table_is_the_one_method_registry():
     # only higher.ROUTES lists all seven --method names; any other module
     # reads them from it, or names a selection of them
@@ -660,3 +699,70 @@ def test_every_public_name_is_used():
     used |= {qualname.rpartition(".")[2] for _, qualname, _, _ in _load_tracer().TARGETS}
     unused = [name for name in _public_surface() if name.rpartition(".")[2] not in used]
     assert unused == []
+
+
+# functions a passing CLI run does not reach, each with why it stays
+UNREACHED_BY_DESIGN = {
+    "combinat.strict_compositions.<locals>.walk": "walk of a reference enumerator",
+    "combinat.weak_compositions.<locals>.walk": "walk of a reference enumerator",
+    "hessenberg.enumerate_partition_multiplicities.<locals>.fill": (
+        "walk of a reference enumerator"
+    ),
+    "relations.descending_chains.<locals>.walk": "walk of a reference enumerator",
+    "relations.ChainIndex.__init__": "the record descending_chains yields",
+    "relations.ChainIndex.head": "the record descending_chains yields",
+    "relations.ChainIndex.length": "the record descending_chains yields",
+    "report.failed": "builds a fail record, which a passing run never makes",
+    "series.TruncatedSeries.__str__": "prints a series in a fail record's detail",
+    "errors._Record.__delattr__": "record protocol: a record is immutable",
+    "errors._Record.__setattr__": "record protocol: a record is immutable",
+    "errors._Record.__hash__": "record protocol: records hash by their fields",
+    "errors._Record.__reduce__": "record protocol: records pickle and copy",
+    "errors._Record.__repr__": "record protocol: records print their fields",
+}
+
+
+def _run_every_command():
+    """Each command of the CLI once per choice: both verify formats, every
+    route at r = 1 and at r = 2 where it takes r > 1, the csv and normalized
+    output, a compute past its cap and every invert rule."""
+    codes = []
+
+    def main(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main(list(argv)))
+
+    main("verify", "--suite", "all")
+    main("verify", "--suite", "all", "--format", "json")
+    for method, route in ROUTES.items():
+        point = ("compute", "--N", "3", "--n-max", "6", "--method", method)
+        main(*point)
+        if route.any_order:
+            main(*point, "--r", "2")
+        main(*point, "--format", "csv", "--normalized")
+    main("compute", "--N", "3", "--n-max", "23", "--method", "compositions")
+    for rule in ("cauchy", "hgc"):
+        main("invert", "--rule", rule, "--N", "3", "--n-max", "6")
+    main("invert", "--rule", "weights", "--N", "3", "--r", "2", "--n-max", "6")
+    return codes
+
+
+def test_every_package_function_runs():
+    # a function earns its place by running: under some CLI command, as a
+    # bench/tracer.py target or in the acceptance criteria; the rest of the
+    # package is listed in UNREACHED_BY_DESIGN with its reason
+    codes = []
+    ran = profiled_functions(lambda: codes.extend(_run_every_command()))
+    assert codes.count(3) == 1 and set(codes) == {0, 3}
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    exempt = {
+        f"{node.module.removeprefix('hgcauchy.')}.{alias.name}"
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("hgcauchy.")
+        for alias in node.names
+    }
+    exempt |= {f"{module}.{qualname}" for module, qualname, _, _ in _load_tracer().TARGETS}
+    names = set(_function_names().values())
+    assert set(UNREACHED_BY_DESIGN) <= names - ran - exempt
+    assert names - ran - exempt - set(UNREACHED_BY_DESIGN) == set()

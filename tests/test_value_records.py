@@ -235,9 +235,6 @@ def test_inexact_values_are_refused(call, shown):
 # sequence it accepts
 SEQUENCES = [
     pytest.param(TruncatedSeries, (1, F(1, 2)), id="series"),
-    pytest.param(
-        lambda v: TruncatedSeries.from_coefficients(v, order=3), (1, 2), id="padded"
-    ),
     pytest.param(lambda v: CauchyTable(1, 1, v), (1, F(1, 2), F(-1, 6)), id="table"),
     pytest.param(lambda v: WeightTable(1, 2, v), (1, 1, F(11, 12)), id="weights"),
     pytest.param(lambda v: HessenbergSpec(1, v), (F(1, 2), 3), id="spec"),
