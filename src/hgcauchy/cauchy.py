@@ -23,11 +23,12 @@ computations, each written once over bands d_0 .. d_n (N/(N+k) here,
 D_r(k) at order r) and scaled once by :meth:`CauchyTable.from_normalized`:
 the triangular Toeplitz solve :func:`~hgcauchy.series.toeplitz_solve`, the
 composition walk (``compositions``, ``explicit``), the Trudi walk
-(``trudi``) and, in ``higher``, the r-th power of the first-order series by
-Miller's recurrence (``convolution``). Glaisher's determinant is the
-defining recurrence expanded along its last column, so ``recurrence`` and
-``determinant`` run one body, :func:`_solve_table`, which hands the solve
-the signed bands through :func:`~hgcauchy.hessenberg.determinant_sequence`;
+(``trudi``) and, in ``higher``, F_N^(-r) taken from the coefficients of
+F_N by Miller's recurrence (``convolution``), which runs no solve.
+Glaisher's determinant is the defining recurrence expanded along its last
+column, so ``recurrence`` and ``determinant`` run one body,
+:func:`_solve_table`, which hands the solve the signed bands through
+:func:`~hgcauchy.hessenberg.determinant_sequence`;
 ``series`` hands it the same list, the coefficients of F_N, through
 :meth:`~hgcauchy.series.TruncatedSeries.reciprocal`.
 The two walks share no arithmetic with the solve, so at r = 1 the

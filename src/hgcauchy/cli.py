@@ -8,14 +8,18 @@ values appear as "p/q" strings, never floats.
 ``compute --method`` runs a route of :data:`hgcauchy.higher.ROUTES`, which
 also gives its safety cap and whether it takes ``--r`` above 1.
 
-Exit codes: 0 success, 1 failed identity or round trip, 2 invalid flags,
-3 safety cap exceeded.
+Exit codes: 0 success, 1 failed identity or round trip, 2 invalid flags
+(also ``--r`` above 1 for a first-order ``--method`` or ``--rule``, and
+``--N`` other than 1 under ``--rule cauchy``), 3 safety cap exceeded, 141
+(128 + SIGPIPE) when the reader closes stdout before the output is written,
+with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import higher
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rule",
         choices=("cauchy", "hgc", "weights"),
         required=True,
-        help="band rule: 1/(n+1) (reads N = 1), N/(N+n), or the order-r weights",
+        help="band rule: 1/(n+1) (--N 1 only), N/(N+n), or the order-r weights",
     )
     p_invert.add_argument(
         "--N", type=_at_least(1), required=True, help="parameter N >= 1"
@@ -140,10 +144,13 @@ def _warn_unsafe(args: argparse.Namespace) -> None:
         )
 
 
-def _refuse_r(parser: argparse.ArgumentParser, r: int, flag: str, use: str) -> None:
-    """Exit 2 when ``r`` is above 1 for ``flag``, a value that reads r = 1 only."""
-    if r > 1:
-        parser.error(f"{flag} supports --r 1 only; use {use}")
+def _refuse(
+    parser: argparse.ArgumentParser, name: str, value: int, flag: str, use: str
+) -> None:
+    """Exit 2 when ``--name`` is not 1 for ``flag``, a value that reads
+    ``--name 1`` only."""
+    if value != 1:
+        parser.error(f"{flag} supports --{name} 1 only; use {use}")
 
 
 def cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -151,7 +158,7 @@ def cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if not route.any_order:
         *others, last = (m for m, rt in higher.ROUTES.items() if rt.any_order)
         use = f"{', '.join(others)}, or {last}"
-        _refuse_r(parser, args.r, f"--method {args.method}", use)
+        _refuse(parser, "r", args.r, f"--method {args.method}", use)
     _warn_unsafe(args)
 
     N, r, n_max = args.N, args.r, args.n_max
@@ -219,10 +226,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 def cmd_invert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.rule != "weights":
-        _refuse_r(parser, args.r, f"--rule {args.rule}", "weights")
-    # D_1(n) = M/(M+n); the cauchy rule 1/(n+1) is the hgc rule at M = 1
-    M = 1 if args.rule == "cauchy" else args.N
-    rule = list(higher.weight_D(M, args.r, args.n_max).values[1:])
+        _refuse(parser, "r", args.r, f"--rule {args.rule}", "weights")
+    if args.rule == "cauchy":
+        _refuse(parser, "N", args.N, "--rule cauchy", "hgc")
+    # D_1(n) = N/(N+n); the cauchy rule 1/(n+1) is the hgc rule at N = 1
+    rule = list(higher.weight_D(args.N, args.r, args.n_max).values[1:])
     alpha, recovered, bands = _inversion_chain(rule)
 
     print("n\tR\talpha\trecovered\tinverse_band")
@@ -235,10 +243,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, parser)
+        code = args.handler(args, parser)
+        sys.stdout.flush()
+        return code
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed the pipe: as the signal module's "Note on
+        # SIGPIPE" shows, point stdout at devnull so that the flush at exit
+        # cannot raise again, and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

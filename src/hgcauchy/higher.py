@@ -13,12 +13,14 @@ over the computations of :mod:`hgcauchy.cauchy` on the bands D_r(k), so at
 r = 1 each returns the first-order table: ``recurrence`` and ``determinant``
 are two names of one body, the Toeplitz solve of Glaisher's determinant,
 ``explicit`` reaches the composition walk and ``trudi`` the Trudi walk.
-``convolution`` raises the normalized first-order series to the r-th power
-by Miller's recurrence (:func:`~hgcauchy.series._power_by_recurrence`) and
-never touches the weights, nor the square-and-multiply power that builds
-them.
+``convolution`` takes F_N^(-r) straight from the coefficients of F_N by
+Miller's recurrence (:func:`~hgcauchy.series._power_by_recurrence`): it runs
+no solve, and never touches the weights, nor the square-and-multiply power
+that builds them. At r = 1 it is a second implementation of the band
+recurrence, not the solve.
 ``higher/method-agreement`` in :mod:`hgcauchy.verify` compares the four
-computations, one route each, at every r from 1 against ``recurrence``.
+computations, one route each, at every r from 1 against ``recurrence``, so
+the solve is checked against three computations that do not run it.
 :data:`ROUTES`, the one table of the seven ``--method`` names, lives here,
 in the one module that imports both route families.
 """
@@ -206,16 +208,16 @@ def chor_via_convolution(N: int, r: int, n_max: int) -> CauchyTable:
         c^(r)(N, n) = sum over (n_1, .., n_r) >= 0 with n_1+..+n_r = n
                       of n!/(n_1! .. n_r!) c(N, n_1) .. c(N, n_r),
 
-    realized as the r-th power of the normalized first-order series
-    b = 1/F_N, taken by Miller's recurrence
-    (:func:`~hgcauchy.series._power_by_recurrence`) and scaled once. Never
-    touches the weights D_r, nor the square-and-multiply power that builds
-    them, so it cross-checks the other four routes.
+    realized as the (-r)-th power of the Gauss series F_N itself,
+    (1/F_N)^r, taken by Miller's recurrence
+    (:func:`~hgcauchy.series._power_by_recurrence`) from the coefficients
+    (-1)^j N/(N+j) and scaled once. Runs no solve of F_N, and never touches
+    the weights D_r nor the square-and-multiply power that builds them, so
+    it cross-checks the other four routes.
     """
     _check_parameters(N, n_max, r)
-    normalized = hgc_generating_series(N, n_max).reciprocal().coefficients
-    powered = _power_by_recurrence(normalized, r)
-    return CauchyTable.from_normalized(N, r, powered)
+    F = hgc_generating_series(N, n_max).coefficients
+    return CauchyTable.from_normalized(N, r, _power_by_recurrence(F, -r))
 
 
 Route = namedtuple("Route", ("compute", "cap", "any_order"))

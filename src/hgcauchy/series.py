@@ -20,8 +20,10 @@ reciprocal, the determinant recurrence behind the recurrence and
 determinant routes, band inversion) is a call to :func:`toeplitz_solve`.
 :meth:`TruncatedSeries.power` takes square-and-multiply products and builds
 the weights of the order-r routes; :func:`_power_by_recurrence` takes one
-O(n^2) pass for any exponent and serves only the ``convolution`` route, so
-the two powers check each other.
+O(n^2) pass for any integer exponent and serves only the ``convolution``
+route, which takes F_N^(-r) from the coefficients of F_N and runs no solve.
+So the two powers check each other, and the solve is checked by a route
+that does not run it.
 
 The divided-power derivative implemented here sends x^m to C(m, n) x^(m-n)
 (no factorial in front), which is the convenient normalization when formulas
@@ -230,24 +232,28 @@ def toeplitz_solve(a: Sequence[Fraction]) -> list[Fraction]:
 
 def _power_by_recurrence(a: Sequence[Fraction], exponent: int) -> list[Fraction]:
     """Coefficients 0 .. len(a) - 1 of the ``exponent``-th power of the
-    series ``a`` by J.C.P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7):
-    P_0 = a_0^r and k a_0 P_k = sum_{j=1..k} ((r+1) j - k) a_j P_(k-j).
+    series ``a``, for any integer exponent r, by J.C.P. Miller's recurrence
+    (Knuth, TAOCP Vol. 2, 4.7): P_0 = a_0^r and
+    k a_0 P_k = sum_{j=1..k} ((r+1) j - k) a_j P_(k-j).
 
-    ``a[0]`` must be nonzero. Built as :func:`toeplitz_solve` is: the inputs
-    are scaled once to integers A over their common denominator, which
-    cancels from both sides, and output k is kept as Y[k] over L_k, the
-    running lcm of the output denominators. Each dot product is one
-    :func:`_horner` over the coefficients ((r+1)(k-i) - k) A[k-i], so
-    P_k = acc / (k A_0 L_(k-1)): one Fraction per coefficient, O(n^2)
-    multiply-adds for any exponent, and no product of two series.
+    The recurrence is P' a = r a' P read at x^(k-1), so it holds for r < 0
+    too: r = -1 gives the reciprocal, the solve of :func:`toeplitz_solve`,
+    and -r the reciprocal of the r-th power. ``a[0]`` must be nonzero.
+    Built as :func:`toeplitz_solve` is: the inputs are scaled once to
+    integers A over their common denominator, which cancels from both
+    sides, and output k is kept as Y[k] over L_k, the running lcm of the
+    output denominators. Each dot product is one :func:`_horner` over the
+    coefficients ((r+1)(k-i) - k) A[k-i], so P_k = acc / (k A_0 L_(k-1)):
+    one Fraction per coefficient, O(n^2) multiply-adds for any exponent,
+    and no product of two series.
     """
-    r = _size(exponent, "exponent")
+    r = _integer(exponent, "exponent")
     if a[0] == 0:
         raise ZeroConstantTerm("Miller's recurrence needs a nonzero constant term")
     A, _ = _scaled(a)
     a0 = A[0]
     step = r + 1
-    out = [a[0] ** r]
+    out = [Fraction(a[0]) ** r]
     y, grow, L = _over_running_lcm(out[0], 1)
     Y, m = [y], [grow]
     for k in range(1, len(A)):

@@ -14,11 +14,13 @@ computations of c(N, n) at r = 1: the triangular solve (``series``), the
 composition walk (``compositions``) and the Trudi walk (``trudi``); the
 other routes rerun one of these at r = 1. ``higher/method-agreement``
 compares the four of c^(r)(N, n) at every r from 1: the solve
-(``recurrence``), the two walks (``explicit``, ``trudi``) and the r-th power
-of the first-order series (``convolution``), whose power by Miller's
-recurrence shares no series product with the square-and-multiply power
-behind the weights D_r. ``determinant`` is the solve's other name: it runs
-the same body as ``recurrence``, so comparing the two would check nothing.
+(``recurrence``), the two walks (``explicit``, ``trudi``) and F_N^(-r)
+(``convolution``), taken by Miller's recurrence from the coefficients of
+F_N. ``convolution`` runs no solve, and shares no series product with the
+square-and-multiply power behind the weights D_r, so the solve is checked
+against three computations that do not run it. ``determinant`` is the
+solve's other name: it runs the same body as ``recurrence``, so comparing
+the two would check nothing.
 
 The erratum-noted records: four identities fail as literally printed in the
 source material this package was transcribed from, while their corrected
@@ -98,7 +100,8 @@ def _random_series(
 
 
 # the three computations of c(N, n) at r = 1, the solve first: the other
-# routes at r = 1 rerun one of these on equal bands (see hgcauchy.cauchy)
+# routes at r = 1 rerun one of these on equal bands (see hgcauchy.cauchy),
+# apart from ``convolution``, which ``higher`` compares at every r
 _FIRST_ORDER_METHODS = ("series", "compositions", "trudi")
 # the four order-r computations, the solve first; ``determinant`` runs its body
 _ORDER_R_METHODS = ("recurrence", "trudi", "explicit", "convolution")

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -258,6 +260,16 @@ class TestInvert:
             f"hgcauchy: error: --rule {rule} supports --r 1 only; use weights\n"
         )
 
+    @pytest.mark.parametrize("N", ["2", "7"])
+    def test_cauchy_rule_refuses_N_other_than_one(self, capsys, N):
+        # the cauchy rule 1/(n+1) is the hgc rule at N = 1 and reads no N
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "invert", "--rule", "cauchy", "--N", N, "--n-max", "3")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "hgcauchy: error: --rule cauchy supports --N 1 only; use hgc\n"
+        )
+
     @pytest.mark.parametrize("rule, N", [("hgc", "3"), ("cauchy", "1")])
     def test_first_order_rules_are_the_weights_at_r_one(self, capsys, rule, N):
         _, weights, _ = run_cli(
@@ -282,6 +294,23 @@ class TestInvert:
                 "--unsafe-caps",
             )
         assert exc.value.code == 2
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # the reader takes one line of a ~630 kB table and closes the pipe, as
+    # `| head -1` does; the writer must exit 128 + SIGPIPE and print nothing
+    argv = ["compute", "--N", "3", "--n-max", "600", "--method", "series",
+            "--format", "csv"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "hgcauchy.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"0,1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (141, b"")
 
 
 def _readme_examples():

@@ -249,8 +249,33 @@ class TestPowerByRecurrence:
                     assert powered == list(s.power(exponent).coefficients)
                     chain = naive_product(chain, a)
 
+    def test_negative_exponents_match_the_solve_of_the_power(self):
+        # P' a = r a' P holds for r < 0 too: the (-e)-th power is the
+        # reciprocal of the e-th, taken here by square-and-multiply and the
+        # solve, a third way to the same series
+        rng = random.Random(SEED + 6)
+        for order in (0, 1, 2, 3, 5, 8, 13, 21, 34, 40):
+            for a in self.seeded_series(rng, order):
+                s = TruncatedSeries(tuple(a))
+                for e in range(1, 7):
+                    expected = toeplitz_solve(s.power(e).coefficients)
+                    assert _power_by_recurrence(a, -e) == expected, (order, e)
+
+    @pytest.mark.parametrize("N", [1, 3, 22])
+    def test_exponent_minus_one_is_the_solve_of_F_N(self, N):
+        # the convolution route at r = 1: a second implementation of the
+        # band recurrence that the solve runs
+        a = gauss_series(N)
+        assert _power_by_recurrence(a, -1) == toeplitz_solve(a)
+
+    def test_int_constant_term_stays_exact_at_a_negative_exponent(self):
+        # 2 ** -2 is the float 0.25; P_0 must be the Fraction 1/4
+        powered = _power_by_recurrence([2, 1, 0, 3], -2)
+        assert all(type(v) is F for v in powered)
+        assert powered == toeplitz_solve([4, 4, 1, 12])
+
     def test_zero_constant_term_rejected(self):
-        for exponent in (0, 1, 3):
+        for exponent in (-2, -1, 0, 1, 3):
             with pytest.raises(ZeroConstantTerm):
                 _power_by_recurrence([F(0), F(1), F(2, 3)], exponent)
 
@@ -259,7 +284,7 @@ class TestPowerByRecurrence:
         [
             (True, TypeError, "exponent must be an integer, not bool"),
             (2.0, TypeError, "exponent must be an integer, got float 2.0"),
-            (-1, ValueError, "exponent must be non-negative, got -1"),
+            (F(-1), TypeError, "exponent must be an integer, got Fraction"),
         ],
     )
     def test_exponent_must_be_a_size(self, exponent, error, message):
@@ -270,8 +295,8 @@ class TestPowerByRecurrence:
 @pytest.mark.parametrize("p", RESIDUE_PRIMES[:2], ids=["2^61-1", "2^89-1"])
 def test_kernels_agree_with_residues_at_order_200(p):
     # past the reach of the Fraction loops: the solve, the square-and-multiply
-    # power (through _convolve) and Miller's recurrence, reduced mod p, against
-    # naive loops over GF(p)
+    # power (through _convolve) and Miller's recurrence at exponents 3 and -3,
+    # reduced mod p, against naive loops over GF(p)
     rng = random.Random(SEED)
     a = random_coefficients(rng, 200, nonzero_constant=True)
     residues = reduced(a, p)
@@ -279,3 +304,4 @@ def test_kernels_agree_with_residues_at_order_200(p):
     cube = power_mod(residues, 3, p)
     assert reduced(TruncatedSeries(a).power(3).coefficients, p) == cube
     assert reduced(_power_by_recurrence(a, 3), p) == cube
+    assert reduced(_power_by_recurrence(a, -3), p) == reciprocal_mod(cube, p)

@@ -299,9 +299,9 @@ def test_order_r_products_run_through_traced_mul(method):
 
 
 # the functions chor_via_convolution shares with chor_via_recurrence: the
-# first-order solve, the integer steps of the kernels and the plumbing of
-# the records. A change that makes the two share more fails here, and one
-# that makes them share less updates this set.
+# ratios, the integer steps of the kernels and the plumbing of the records.
+# A change that makes the two share more fails here, and one that makes them
+# share less updates this set.
 CONVOLUTION_SHARES_WITH_RECURRENCE = {
     "cauchy.CauchyTable.__init__",
     "cauchy.CauchyTable.from_normalized",
@@ -317,15 +317,16 @@ CONVOLUTION_SHARES_WITH_RECURRENCE = {
     "series._horner",
     "series._over_running_lcm",
     "series._scaled",
-    "series.toeplitz_solve",
 }
 
 
-def test_convolution_shares_no_power_with_the_recurrence():
+def test_convolution_shares_no_power_and_no_solve_with_the_recurrence():
     convolution = profiled_functions(lambda: chor_via_convolution(3, 2, 8))
     recurrence = profiled_functions(lambda: chor_via_recurrence(3, 2, 8))
     shared = convolution & recurrence
     assert shared == CONVOLUTION_SHARES_WITH_RECURRENCE
+    solve = {"series.toeplitz_solve", "series.TruncatedSeries.reciprocal"}
+    assert not solve & convolution
     power = {
         "series.TruncatedSeries.power",
         "series.TruncatedSeries.__mul__",
@@ -584,13 +585,15 @@ def test_no_hand_rolled_negative_size_check():
 
 
 def test_cli_bounds_live_in_the_flag_types():
-    # only the --r/--method rule involves two flags, so only it is checked
-    # after parsing; every other bound is an argparse type of its flag
+    # only the rules that tie one flag to another (--r 1 for a first-order
+    # --method or --rule, --N 1 for --rule cauchy) are checked after parsing,
+    # at one error site that names the flag it refuses; every other bound is
+    # an argparse type of its flag
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     errors = _calls(tree, "error")
     assert len(errors) == 1
     texts = [c.value for c in ast.walk(errors[0]) if isinstance(c, ast.Constant)]
-    assert "supports --r 1 only" in "".join(texts)
+    assert "".join(texts) == " supports -- 1 only; use "
 
 
 def _star_modules():
@@ -742,8 +745,8 @@ def _run_every_command():
             main(*point, "--r", "2")
         main(*point, "--format", "csv", "--normalized")
     main("compute", "--N", "3", "--n-max", "23", "--method", "compositions")
-    for rule in ("cauchy", "hgc"):
-        main("invert", "--rule", rule, "--N", "3", "--n-max", "6")
+    main("invert", "--rule", "cauchy", "--N", "1", "--n-max", "6")
+    main("invert", "--rule", "hgc", "--N", "3", "--n-max", "6")
     main("invert", "--rule", "weights", "--N", "3", "--r", "2", "--n-max", "6")
     return codes
 

@@ -299,7 +299,7 @@ COMPUTATIONS = {
     "compositions": "composition walk",
     "explicit": "composition walk",
     "trudi": "Trudi walk",
-    "convolution": "power of the first-order series",
+    "convolution": "F_N^(-r) by Miller's recurrence, no solve",
 }
 ORDER_R = ["recurrence", "trudi", "explicit", "convolution"]
 
