@@ -249,9 +249,10 @@ def ratio_inversion(N: int, n_max: int) -> VerificationReport:
 
         det of the unit-superdiagonal spec over bands c(N, k)/k!  ==  N/(N+n).
 
-    Read off the inversion chain of N/(N+k), whose alpha is the normalized
-    table by Glaisher's determinant; ``core/method-agreement`` checks that
-    table against the composition and Trudi walks.
+    Read off the inversion chain of N/(N+k), so it restates the point's
+    ``determinant-roundtrip`` and ``signed-inverse-bands``. Its alpha is the
+    normalized table by Glaisher's determinant; ``core/method-agreement``
+    checks that table against the composition and Trudi walks.
     """
     _check_parameters(N, n_max)
     rule = _ratios(N, 1, n_max)[1:]

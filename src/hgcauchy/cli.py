@@ -225,6 +225,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def cmd_invert(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Print the inversion chain of R; recovered is its inverse bands signed,
+    so its exit status, 1 unless recovered == R, restates ``signed-inverse-bands``."""
     if args.rule != "weights":
         _refuse(parser, "r", args.r, f"--rule {args.rule}", "weights")
     if args.rule == "cauchy":

@@ -9,8 +9,8 @@ arithmetic it cross-checks. The strict walk makes 2^max(t_max - 3, 0) calls:
 only a prefix that leaves three or more recurses, and a call loops over a
 prebuilt list of exactly those children, then closes the three children that
 leave two, one and nothing in straight-line code, each of their completions
-still with one product and one add. The weak walk makes C(total + m, m),
-m = max(parts - 2, 0).
+still with one product and one add. The weak walk makes C(total + m - 1, m),
+m = max(parts - 2, 0), for total >= 1, and recurses at most total deep.
 Both walks read their weights in one pass, so any iterable will do, and take
 exact weights only (``series._fractions``). A strict prefix of total t is an
 integer over Q[t], the lcm of the part-denominator products that the
@@ -181,11 +181,13 @@ def weak_composition_sum(w: Iterable[Fraction], total: int, parts: int) -> list[
     still be completed: a prefix of parts - 1 parts reads its last part off
     what is left, and a prefix that uses up ``total`` is padded with zero
     parts in one loop, each padding its own product. For total >= 1 the walk
-    makes C(total + m, m) calls, m = max(parts - 2, 0): one per prefix of at
-    most m parts that leaves something over. The products are integers: with
-    D the lcm of the denominators of w[0 .. total], a prefix of k parts is an
-    integer over D^k, and each k becomes one Fraction. ``w`` is read once,
-    up to ``w[total]``; with no parts no weight is read.
+    makes C(total + m - 1, m) calls, m = max(parts - 2, 0), one per prefix
+    of at most m parts that leaves something over and ends in no zero part:
+    a zero part continues its parent's loop, so the walk recurses at most
+    total deep. The products are integers: with D the lcm of the
+    denominators of w[0 .. total], a prefix of k parts is an integer over
+    D^k, and each k becomes one Fraction. ``w`` is read once, up to
+    ``w[total]``; with no parts no weight is read.
     """
     total, parts = _size(total, "total"), _size(parts, "parts")
     w = _fractions(w, total + 1) if parts else ()
@@ -206,10 +208,12 @@ def weak_composition_sum(w: Iterable[Fraction], total: int, parts: int) -> list[
 
     def extend(k: int, left: int, prefix: int) -> None:
         # a prefix of k <= max(parts - 2, 0) parts that leaves left > 0
-        if k + 2 < parts:
-            for i in range(left):
+        while k + 2 < parts:
+            for i in range(1, left):
                 extend(k + 1, left - i, prefix * V[i])
-        elif k + 2 == parts:
+            close(k + 1, prefix * V[left])
+            k, prefix = k + 1, prefix * V[0]
+        if k + 2 == parts:
             for i in range(left):
                 acc[parts] += prefix * V[i] * V[left - i]
         close(k + 1, prefix * V[left])

@@ -14,15 +14,13 @@ same values have a closed combinatorial expansion over partition multisets
 one walk over partitions; it shares no arithmetic with the solve.
 :func:`trudi_sequence` and ``cauchy.c_trudi_printed_variant`` read it too,
 and :func:`enumerate_partition_multiplicities` is a reference for the tests.
-For a_0 = 1, d covers band inversion of unit lower-triangular Toeplitz
-matrices. The routes are cross-checked in the verification suites.
-
-The inversion chain lives here once: :func:`_inversion_chain` makes, from
-bands R(1..n), alpha = det(R), recovered = det(alpha) and the inverse bands
-gamma of alpha; every inversion record and ``invert`` read it, so the three
-inversion records of a suite point read one chain. Over N/(N+k), or D_r(k),
-alpha is the normalized table by Glaisher's determinant, which the ``core``
-and ``higher`` agreement records check against the composition and Trudi walks.
+For a_0 = 1, d covers band inversion, done once, in :func:`_inversion_chain`:
+from bands R(1..n) it makes alpha = det(R), gamma, the inverse bands of
+alpha, and recovered = det(alpha), gamma signed. Every inversion record and
+``invert`` read it, so a suite point's three inversion records restate one
+comparison, recovered == R as gamma_k == (-1)^k R(k). Over N/(N+k), or
+D_r(k), alpha is the normalized table by Glaisher's determinant, which the
+``core`` and ``higher`` agreement records check against the two walks.
 """
 
 from __future__ import annotations
@@ -211,9 +209,12 @@ def unit_lower_toeplitz_inverse(alpha: Iterable[Fraction]) -> list[Fraction]:
 
 def _inversion_chain(rule: Sequence[Fraction]) -> Chain:
     """alpha_n = det over R(1..n), recovered_n = det over alpha_1..alpha_n
-    (== R(n)) and gamma, the inverse bands of alpha (== (-1)^k R(k))."""
+    (== R(n)) and gamma, the inverse bands of alpha (== (-1)^k R(k)). With
+    A(x) = 1 + sum alpha_k x^k, recovered solves A(-x) and gamma A(x), so
+    recovered_k = (-1)^k gamma_k: two solves, not three."""
     alpha = determinant_sequence(1, rule)[1:]
-    return alpha, determinant_sequence(1, alpha)[1:], unit_lower_toeplitz_inverse(alpha)
+    gamma = unit_lower_toeplitz_inverse(alpha)
+    return alpha, [-g if k % 2 else g for k, g in enumerate(gamma, 1)], gamma
 
 
 def _recovery_record(

@@ -51,7 +51,6 @@ from .hessenberg import (
     Chain,
     _inversion_chain,
     _recovery_record,
-    _signed_bands_record,
 )
 from .report import VerificationReport, passed
 from .series import TruncatedSeries, _power_by_recurrence
@@ -247,27 +246,18 @@ ROUTES = {
 def _weight_recovery(
     point: tuple[int, int, int], rule: Sequence[Fraction], chain: Chain
 ) -> VerificationReport:
-    """D_inversion's record of one inversion chain: its first failing half."""
+    """D_inversion's record of one inversion chain; a fail names the determinant."""
     name = "inversion/weight-recovery"
-    halves = (
-        _recovery_record(f"{name}/determinant", point, rule, chain),
-        _signed_bands_record(f"{name}/inverse-bands", point, rule, chain),
-    )
-    return next((half for half in halves if not half.ok), passed(name, point))
+    record = _recovery_record(f"{name}/determinant", point, rule, chain)
+    return record if not record.ok else passed(name, point)
 
 
 def D_inversion(N: int, r: int, n_max: int) -> VerificationReport:
-    """Inversion pair between normalized tables and weights.
-
-    Checks, for every n <= n_max:
-
-    * determinant half: det over bands c^(r)(N, k)/k! equals D_r(n);
-    * inverse-band half: the unit lower-triangular Toeplitz inverse of the
-      normalized-value bands has gamma_k = (-1)^k D_r(k).
-
-    Reports the first failing n, naming which half failed. Both halves read
-    the inversion chain of D_r(1..n_max): its alpha is the normalized table by
-    Glaisher's determinant, checked against both walks in ``higher``.
+    """Inversion pair between normalized tables and weights: det over bands
+    c^(r)(N, k)/k! equals D_r(n) for every n <= n_max, first failing n
+    reported. Read off the inversion chain of D_r(1..n_max), so it restates
+    the point's ``determinant-roundtrip`` and ``signed-inverse-bands``; its
+    alpha is the normalized table, checked against both walks in ``higher``.
     """
     _check_parameters(N, n_max, r)
     rule = _weights(N, r, n_max)[1:]

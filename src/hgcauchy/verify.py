@@ -348,9 +348,10 @@ def inversion_suite(
     """Determinant round trips, ratio and weight recovery, the sign-corrected
     inverse-band identity, and the unsigned-display erratum. The bands of
     each (N, r) are D_r(1 .. n_max), at r = 1 the ratios N/(N+k). Each point
-    builds one inversion chain and its three records read it; the chain's
-    alpha is the normalized table by Glaisher's determinant, which ``core``
-    and ``higher`` check against the composition and Trudi walks."""
+    builds one inversion chain, and its three records restate one comparison
+    (36 pass records on 12 at the defaults); the chain's alpha is the
+    normalized table by Glaisher's determinant, which ``core`` and ``higher``
+    check against the composition and Trudi walks."""
     N_max, r_max, n_max, capped = _grid(N_max, r_max, n_max, capped)
     Ns = range(1, N_max + 1)
     grid = [(N, 1) for N in Ns] + [(N, r) for N in Ns for r in range(2, r_max + 1)]

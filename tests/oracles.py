@@ -357,12 +357,13 @@ def residue_misses(N: int, r: int, values) -> list[int]:
     )
 
 
-def profiled_arguments(outer, name: str, call):
+def profiled_arguments(outer, name: str | None, call):
     """Run ``call()`` under ``sys.setprofile`` and record the arguments of
     each call of the function ``name`` defined inside the function ``outer``
-    (e.g. the ``extend`` of a walk); returns the result and one dict per
-    call, in call order. The code under test carries no counter of its own."""
-    target = next(
+    (e.g. the ``extend`` of a walk), or of ``outer`` itself when ``name`` is
+    None; returns the result and one dict per call, in call order. The code
+    under test carries no counter of its own."""
+    target = outer.__code__ if name is None else next(
         c for c in outer.__code__.co_consts if getattr(c, "co_name", None) == name
     )
     arguments = []

@@ -113,9 +113,10 @@ def test_weak_composition_sum_at_suite_shapes(total, parts, head):
 
 
 def test_weak_walk_forms_only_prefixes_it_completes():
-    # one call per prefix of at most max(parts - 2, 0) parts that leaves
-    # something over: C(total + m, m); forming every prefix would make
-    # C(total + parts + 1, parts)
+    # one call per prefix of at most m = max(parts - 2, 0) parts that leaves
+    # something over and ends in no zero part, since a zero part continues
+    # its parent's loop: C(total + m - 1, m); forming every prefix would
+    # make C(total + parts + 1, parts)
     for total in range(1, 10):
         w = [F(1)] * (total + 1)
         for parts in range(1, 10):
@@ -125,8 +126,15 @@ def test_weak_walk_forms_only_prefixes_it_completes():
                 "extend",
                 lambda: weak_composition_sum(w, total, parts),
             )
-            assert calls == comb(total + m, m), (total, parts)
+            assert calls == comb(total + m - 1, m), (total, parts)
             assert sums[parts] == comb(total + parts - 1, parts - 1)
+
+
+def test_weak_walk_depth_follows_the_total_not_the_parts():
+    # a zero part continues a loop, so 1100 parts, past the interpreter's
+    # recursion limit, recurse no deeper than the total: one part of 1 and
+    # k - 1 zeros, in k places
+    assert weak_composition_sum([F(1), F(1)], 1, 1100) == list(range(1101))
 
 
 def test_strict_walk_call_count():

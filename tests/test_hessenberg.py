@@ -8,6 +8,7 @@ from hgcauchy.errors import CapExceeded
 from hgcauchy.hessenberg import (
     HessenbergSpec,
     PARTITION_CAP,
+    _inversion_chain,
     _trudi_walk,
     determinant_sequence,
     enumerate_partition_multiplicities,
@@ -16,12 +17,14 @@ from hgcauchy.hessenberg import (
     trudi_sum,
     unit_lower_toeplitz_inverse,
 )
+from hgcauchy.series import toeplitz_solve
 from oracles import (
     dense_determinant,
     dense_matrix,
     naive_trudi_sum,
     partition_count,
     profiled_arguments,
+    profiled_calls,
     random_coefficients,
     random_fraction,
 )
@@ -205,6 +208,31 @@ class TestInverse:
             alpha = determinant_sequence(F(1), rule)[1:]
             gamma = unit_lower_toeplitz_inverse(alpha)
             assert gamma == [(-1) ** k * rule[k - 1] for k in range(1, 9)]
+
+    def test_chain_makes_two_solves(self):
+        # alpha and gamma; recovered is gamma signed, with no solve of its own
+        rule = [F(20, 20 + k) for k in range(1, 41)]
+        chain, calls = profiled_calls(
+            toeplitz_solve, None, lambda: _inversion_chain(rule)
+        )
+        assert calls == 2
+        assert chain[1] == rule
+
+    @pytest.mark.parametrize("kind", ["zero", "negative", "mixed"])
+    def test_chain_recovered_is_the_determinant_over_alpha(self, kind):
+        # recovered is read off gamma by sign, yet stays det over alpha_1..
+        # alpha_n on bands that are no rule of this package
+        rng = random.Random(SEED + 6)
+        for n in range(13):
+            if kind == "zero":
+                band = [F(0)] * n
+            elif kind == "negative":
+                band = [-random_fraction(rng, nonzero=True) ** 2 for _ in range(n)]
+            else:
+                band = [F(0) if k % 3 == 1 else random_fraction(rng) for k in range(n)]
+            alpha, recovered, _ = _inversion_chain(band)
+            assert recovered == determinant_sequence(1, alpha)[1:], (kind, n)
+            assert recovered == band, (kind, n)
 
     def test_unsigned_rule_fails_at_first_band(self):
         # the same display without the sign is wrong from k = 1 on

@@ -21,7 +21,8 @@ reference enumerators, and no module imports ``dataclasses`` or ``typing``,
 so a CLI process loads neither (nor ``inspect``, which ``dataclasses`` pulls
 in). Every public name has a reader outside the tests, and a ledger pins
 which functions each pair of compared computations shares; ``recurrence``
-and ``determinant`` run one body. Every function the package defines runs
+and ``determinant`` run one body, and the inversion identities restate one
+comparison. Every function the package defines runs
 under some CLI command, unless it is a tracer target, an acceptance import
 or listed, with its reason, as one a passing run never reaches.
 """
@@ -43,7 +44,7 @@ from types import FunctionType
 import pytest
 
 import hgcauchy
-from hgcauchy import cli
+from hgcauchy import cli, hessenberg, verify
 from hgcauchy.cauchy import (
     c_via_compositions,
     c_via_determinant,
@@ -393,6 +394,42 @@ RECURRENCE_SHARES_WITH_TRUDI = RECURRENCE_SHARES_WITH_EXPLICIT
 )
 def test_sharing_ledger(first, second, shared):
     assert profiled_functions(first) & profiled_functions(second) == shared
+
+
+# the inversion identities that restate another. Each point of the inversion
+# suite builds one hessenberg._inversion_chain, whose recovered bands are its
+# inverse bands gamma signed, so recovered == R, which determinant-roundtrip
+# and ratio-recovery (r = 1) or weight-recovery (r >= 2) check, is
+# gamma_k == (-1)^k R(k), which signed-inverse-bands checks: the suite's 36
+# pass records at the defaults rest on 12 comparisons
+INVERSION_RESTATES = {
+    "inversion/determinant-roundtrip": "inversion/signed-inverse-bands",
+    "inversion/ratio-recovery": "inversion/signed-inverse-bands",
+    "inversion/weight-recovery": "inversion/signed-inverse-bands",
+}
+
+
+def test_the_inversion_identities_restate_one_comparison(monkeypatch):
+    identities = {*INVERSION_RESTATES, *INVERSION_RESTATES.values()}
+    records = [r for r in verify.inversion_suite() if r.identity in identities]
+    assert [r.status for r in records] == ["pass"] * 36
+    assert len({r.parameter_point for r in records}) == 12
+    # a fault in the one inverse-band solve of each point fails all four
+    # identities together, at every point and at the faulty index
+    solve = hessenberg.unit_lower_toeplitz_inverse
+
+    def bumped(alpha):
+        gamma = solve(alpha)
+        if len(gamma) > 4:
+            gamma[4] += 1
+        return gamma
+
+    monkeypatch.setattr(hessenberg, "unit_lower_toeplitz_inverse", bumped)
+    failed = [r for r in verify.inversion_suite() if not r.ok]
+    assert len(failed) == 36
+    assert {r.parameter_point[2] for r in failed} == {5}
+    assert len({r.parameter_point for r in failed}) == 12
+    assert {r.identity.removesuffix("/determinant") for r in failed} == identities
 
 
 @pytest.mark.parametrize(
