@@ -5,21 +5,22 @@ of two walks, :func:`composition_sum` over strict compositions and
 :func:`weak_composition_sum` over weak compositions. Each composition gets
 its own integer product, built on the shared product of its prefix; no sum
 of prefixes is factored out, so neither walk turns into the series
-arithmetic it cross-checks. The strict walk makes 2^max(t_max - 3, 0) calls:
-only a prefix that leaves three or more recurses, and a call loops over a
-prebuilt list of exactly those children, then closes the three children that
-leave two, one and nothing in straight-line code, each of their completions
-still with one product and one add. The weak walk makes C(total + m - 1, m),
-m = max(parts - 2, 0), for total >= 1, and recurses at most total deep.
-Both walks read their weights in one pass, so any iterable will do, and take
-exact weights only (``series._fractions``). A strict prefix of total t is an
-integer over Q[t], the lcm of the part-denominator products that the
-compositions of t need, so its width follows the compositions, not the lcm D
-of every weight's denominator; a weak prefix of k parts is an integer over
-D^k. The partition (Trudi) walk,
+arithmetic it cross-checks. The strict walk makes 2^max(t_max - 4, 0) calls:
+only a prefix that leaves four or more recurses, and a call loops over a
+prebuilt list of exactly those children, then closes the four children that
+leave three, two, one and nothing in straight-line code, each of their
+fifteen compositions still with one product and one add. The weak walk makes
+C(total + m - 1, m), m = max(parts - 2, 0), for total >= 1, and recurses at
+most total deep. Both walks read their weights in one pass, so any iterable
+will do, and take exact weights only (``series._fractions``). A strict
+prefix of total t is an integer over Q[t], the lcm of the part-denominator
+products that the compositions of t need, so its width follows the
+compositions, not the lcm D of every weight's denominator; a weak prefix of
+k parts is an integer over D^k. The partition (Trudi) walk,
 :func:`~hgcauchy.hessenberg._trudi_walk`, and the product rule over series,
 ``verify._product_rule_rhs``, live next to what they sum. No module calls
-:func:`strict_compositions` or :func:`weak_compositions`: they are test references.
+:func:`strict_compositions` or :func:`weak_compositions`: they are test
+references.
 """
 
 from __future__ import annotations
@@ -78,22 +79,24 @@ def composition_sum(w: Iterable[Fraction], t_max: int) -> list[Fraction]:
 
     One depth-first walk visits every composition of every total <= t_max
     once (2^(t-1) of total t) and shares each prefix product with all its
-    extensions. Only a prefix that leaves at least three recurses, so a call
+    extensions. Only a prefix that leaves at least four recurses, so a call
     for the prefix of total t loops over a list, built once, of its children
-    t' <= t_max - 3 and their steps, and per child does one product, one add
-    and the recursive call. Its other three children are closed in
-    straight-line code: t_max - 2 with its completions (1), (1, 1) and (2),
-    t_max - 1 with (1), and t_max itself; the steps past t_max - 2 are the
-    same for every prefix. Below t_max = 3 the walk runs at 3 with zero
+    t' <= t_max - 4 and their steps, and per child does one product, one add
+    and the recursive call. Its other four children are closed in
+    straight-line code: t_max - 3 with its completions (1), (1, 1), (2),
+    (1, 1, 1), (1, 2), (2, 1) and (3), t_max - 2 with (1), (1, 1) and (2),
+    t_max - 1 with (1), and t_max itself; the six steps past t_max - 3 are
+    the same for every prefix. Below t_max = 4 the walk runs at 4 with zero
     weights past t_max and drops the entries past t_max, so the root always
-    has those three children. The walk makes 2^max(t_max - 3, 0) calls, each
-    composition gets its own product and its own add, and no tail sum is
-    merged. The products stay integers: with Q[t] the lcm, over the
-    compositions of t, of the products of their part denominators, a prefix
-    of total t is an integer over Q[t]. Part e takes it to total t + e
-    through the integer step M[t][e] = num(w[e]) Q[t + e] / (Q[t] den(w[e])),
-    exact because Q[t] den(w[e]) divides Q[t + e], and one accumulator per
-    total becomes one Fraction at the end. Q[t] divides D^t, D the lcm of
+    has those four children. The walk makes 2^max(t_max - 4, 0) calls, each
+    of the fifteen compositions a call closes gets its own product and its
+    own add, and no tail sum is merged. The products stay integers: with
+    Q[t] the lcm, over the compositions of t, of the products of their part
+    denominators, a prefix of total t is an integer over Q[t]. Part e takes
+    it to total t + e through the integer step
+    M[t][e] = num(w[e]) Q[t + e] / (Q[t] den(w[e])), exact because
+    Q[t] den(w[e]) divides Q[t + e], and one accumulator per total becomes
+    one Fraction at the end. Q[t] divides D^t, D the lcm of
     the denominators of w[1 .. t_max], and is often far smaller: 113 against
     647 bits for the ratios N/(N + e) at N = 5, t = 20.
     """
@@ -103,7 +106,7 @@ def composition_sum(w: Iterable[Fraction], t_max: int) -> list[Fraction]:
         raise ValueError(
             f"w supplies {len(w)} terms, need {t_max + 1} to read w[1..{t_max}]"
         )
-    top = max(t_max, 3)
+    top = max(t_max, 4)
     w = [0, *w[1:]] + [0] * (top - t_max)
     dens = [v.denominator for v in w]
     Q = _composition_denominators(dens, top)
@@ -115,39 +118,56 @@ def composition_sum(w: Iterable[Fraction], t_max: int) -> list[Fraction]:
         ]
         for t in range(top + 1)
     ]
-    # for each total t <= top - 3: the children that recurse, (t', M[t][t' - t])
-    # for t < t' <= top - 3, then the steps to the children that leave two, one
-    # and nothing, which close
+    # for each total t <= top - 4: the children that recurse, (t', M[t][t' - t])
+    # for t < t' <= top - 4, then the steps to the children that leave three,
+    # two, one and nothing, which close
     plan = [
         (
-            tuple((u, M[t][u - t]) for u in range(t + 1, top - 2)),
+            tuple((u, M[t][u - t]) for u in range(t + 1, top - 3)),
+            M[t][top - 3 - t],
             M[t][top - 2 - t],
             M[t][top - 1 - t],
             M[t][top - t],
         )
-        for t in range(top - 2)
+        for t in range(top - 3)
     ]
-    # the steps past top - 2, the same for every prefix
+    # the steps past top - 3, the same for every prefix
+    three_by_1, three_by_2, three_by_3 = M[top - 3][1], M[top - 3][2], M[top - 3][3]
     two_by_1, two_by_2, one_by_1 = M[top - 2][1], M[top - 2][2], M[top - 1][1]
-    # acc[-3], acc[-2] and acc[-1] are the totals top - 2, top - 1 and top
+    # acc[-4] .. acc[-1] are the totals top - 3 .. top
     acc = [1] + [0] * top
 
     def extend(total: int, prefix: int) -> None:
-        # a prefix that leaves top - total >= 3, or the root
-        children, to_two, to_one, to_top = plan[total]
+        # a prefix that leaves top - total >= 4, or the root
+        children, to_three, to_two, to_one, to_top = plan[total]
         for t, step in children:
             product = prefix * step
             acc[t] += product
             extend(t, product)
-        # the child that leaves two, then (1), (1, 1) and (2) after it; the
-        # child that leaves one, then (1); the child at top: seven
-        # compositions, each its own product and add
+        # the child that leaves three, then (1), (1, 1), (2), (1, 1, 1),
+        # (1, 2), (2, 1) and (3) after it; the child that leaves two, then
+        # (1), (1, 1) and (2); the child that leaves one, then (1); the child
+        # at top: fifteen compositions, each its own product and add
+        three = prefix * to_three
+        three_1 = three * three_by_1
+        three_1_1 = three_1 * two_by_1
+        three_2 = three * three_by_2
         two = prefix * to_two
         two_1 = two * two_by_1
         one = prefix * to_one
-        acc[-3] += two
-        acc[-2] += two_1 + one
-        acc[-1] += two_1 * one_by_1 + two * two_by_2 + one * one_by_1 + prefix * to_top
+        acc[-4] += three
+        acc[-3] += three_1 + two
+        acc[-2] += three_1_1 + three_2 + two_1 + one
+        acc[-1] += (
+            three_1_1 * one_by_1
+            + three_1 * two_by_2
+            + three_2 * one_by_1
+            + three * three_by_3
+            + two_1 * one_by_1
+            + two * two_by_2
+            + one * one_by_1
+            + prefix * to_top
+        )
 
     extend(0, 1)
     return [Fraction(acc[t], Q[t]) for t in range(t_max + 1)]

@@ -16,6 +16,7 @@ from hgcauchy.combinat import (
     weak_compositions,
 )
 from hgcauchy.higher import weight_D
+from hgcauchy.series import toeplitz_solve
 from oracles import (
     multinomial,
     naive_composition_denominators,
@@ -139,13 +140,14 @@ def test_weak_walk_depth_follows_the_total_not_the_parts():
 
 def test_strict_walk_call_count():
     # one call for the root and one per composition of a total below
-    # t_max - 2; a prefix that leaves one or two is finished in its parent
+    # t_max - 3; a prefix that leaves one, two or three is finished in its
+    # parent
     for t_max in range(1, 13):
         w = [F(1)] * (t_max + 1)
         sums, calls = profiled_calls(
             composition_sum, "extend", lambda: composition_sum(w, t_max)
         )
-        assert calls == 2 ** max(t_max - 3, 0), t_max
+        assert calls == 2 ** max(t_max - 4, 0), t_max
         assert sums[t_max] == 2 ** (t_max - 1)
 
 
@@ -198,7 +200,7 @@ def test_strict_walk_prefixes_stay_within_their_denominator():
     sums, calls = profiled_arguments(
         composition_sum, "extend", lambda: composition_sum(w, t_max)
     )
-    assert len(calls) == 2 ** (t_max - 3)
+    assert len(calls) == 2 ** (t_max - 4)
     assert all(abs(call["prefix"]) <= Q[call["total"]] for call in calls)
     assert sums == naive_composition_sum(w, t_max)
 
@@ -218,17 +220,32 @@ def test_walks_take_exact_weights_only(call, got):
         call()
 
 
-@pytest.mark.parametrize("t_max", range(7))
-@pytest.mark.parametrize(
-    "zeros",
-    [(), (1,), (2,), (1, 2), ("last",), (1, "last"), (2, "last"), (1, 2, "last")],
-    ids=["none", "w1", "w2", "w1w2", "wlast", "w1wlast", "w2wlast", "w1w2wlast"],
-)
+INLINE_TAIL_ZEROS = {
+    "none": (),
+    "w1": (1,),
+    "w2": (2,),
+    "w3": (3,),
+    "w1w2": (1, 2),
+    "w1w3": (1, 3),
+    "w2w3": (2, 3),
+    "w1w2w3": (1, 2, 3),
+    "wlast": ("last",),
+    "w1wlast": (1, "last"),
+    "w2wlast": (2, "last"),
+    "w1w2wlast": (1, 2, "last"),
+    "w3wlast": (3, "last"),
+    "w1w2w3wlast": (1, 2, 3, "last"),
+}
+
+
+@pytest.mark.parametrize("t_max", range(9))
+@pytest.mark.parametrize("zeros", INLINE_TAIL_ZEROS.values(), ids=INLINE_TAIL_ZEROS)
 def test_composition_sum_inline_tails(t_max, zeros):
-    # every call closes the children that leave two (with (1), (1, 1) and
-    # (2) after it), one (with (1)) and nothing in straight-line code,
-    # reading w[1], w[2] and w[t_max - total]; below t_max = 3 some of the
-    # root's three lie past t_max, where the walk runs on zero weights
+    # every call closes the children that leave three (with (1), (1, 1),
+    # (2), (1, 1, 1), (1, 2), (2, 1) and (3) after it), two (with (1),
+    # (1, 1) and (2)), one (with (1)) and nothing in straight-line code,
+    # reading w[1], w[2], w[3] and w[t_max - total]; below t_max = 4 some of
+    # the root's four lie past t_max, where the walk runs on zero weights
     w = [F(0)] + [F(-(3 * e + 1), e + 2) for e in range(1, t_max + 1)]
     for e in zeros:
         e = t_max if e == "last" else e
@@ -237,8 +254,8 @@ def test_composition_sum_inline_tails(t_max, zeros):
     assert composition_sum(w, t_max) == naive_composition_sum(w, t_max)
 
 
-def test_strict_walk_recurses_only_where_three_are_left():
-    # the root, then one call per prefix of total t <= t_max - 3: 2^(t - 1)
+def test_strict_walk_recurses_only_where_four_are_left():
+    # the root, then one call per prefix of total t <= t_max - 4: 2^(t - 1)
     # of each total
     for t_max in range(13):
         w = [F(e + 1, e + 3) for e in range(t_max + 1)]
@@ -247,9 +264,9 @@ def test_strict_walk_recurses_only_where_three_are_left():
         )
         assert (calls[0]["total"], calls[0]["prefix"]) == (0, 1)
         totals = [call["total"] for call in calls[1:]]
-        assert all(1 <= t <= t_max - 3 for t in totals), t_max
+        assert all(1 <= t <= t_max - 4 for t in totals), t_max
         assert {t: totals.count(t) for t in set(totals)} == {
-            t: 2 ** (t - 1) for t in range(1, t_max - 2)
+            t: 2 ** (t - 1) for t in range(1, t_max - 3)
         }
         assert sums == naive_composition_sum(w, t_max)
 
@@ -259,6 +276,28 @@ def test_composition_sum_deep_random_weights():
     for _ in range(2):
         w = [random_fraction(rng) for _ in range(15)]
         assert composition_sum(w, 14) == naive_composition_sum(w, 14)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+# seeded weights w[1 .. 20] with zeros and negatives: denominators drawn from
+# 1 .. 50, twenty distinct primes, or the nested factorials 1 .. 720
+ORACLE_WEIGHTS = {
+    "random": lambda rng, e: random_fraction(rng),
+    "coprime": lambda rng, e: F(rng.randint(-9, 9), PRIMES[e - 1]),
+    "shared": lambda rng, e: F(rng.randint(-9, 9), rng.choice((1, 2, 6, 24, 120, 720))),
+}
+
+
+@pytest.mark.parametrize("shape", ORACLE_WEIGHTS)
+def test_composition_sum_is_the_reciprocal_at_the_benchmark_size(shape):
+    # the sums over compositions of t are the coefficients of
+    # 1 / (1 - sum w_e x^e), which the solve reaches with no composition
+    rng = random.Random(20261021)
+    w = [F(0)] + [ORACLE_WEIGHTS[shape](rng, e) for e in range(1, 21)]
+    w[rng.randrange(1, 4)] = w[rng.randrange(4, 21)] = F(0)
+    assert any(v < 0 for v in w)
+    assert composition_sum(w, 20) == toeplitz_solve([F(1)] + [-v for v in w[1:]])
 
 
 @pytest.mark.parametrize(
